@@ -18,7 +18,6 @@ from .assembly import (
     project_boundary,
 )
 from .bounds import (
-    CertifiedEigenvalue,
     ConstantsRecord,
     certification_constant,
     certified_lower_bound,
@@ -38,7 +37,7 @@ from .hypercircle import (
     solve_equilibrated_flux,
     solve_neumann,
 )
-from .linalg import EigenResult, general_sym_eig, solve_saddle, solve_spd
+from .linalg import EigenResult, general_sym_eig
 from .mesh import (
     ElementGeometry,
     Mesh,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AssembledSystem",
     "BoundaryField",
-    "CertifiedEigenvalue",
     "ConstantsRecord",
     "DofMaps",
     "EigenResult",
@@ -86,8 +84,6 @@ __all__ = [
     "reference_eigenvalues",
     "solve_equilibrated_flux",
     "solve_neumann",
-    "solve_saddle",
-    "solve_spd",
     "solve_steklov_cr",
     "solve_steklov_p1",
     "trace_constant_bound",

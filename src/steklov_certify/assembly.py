@@ -174,7 +174,8 @@ class DofMaps:
 
     dim_p1 + 1 counts nothing special; the invariants are
     dim_rt_interior + dim_rt_boundary = 2*len(edges) + 2*num_triangles and
-    dim_rt_boundary = dim_trace.
+    dim_rt_boundary = dim_trace.  tri_edges[t, l] is the number of the
+    edge from local vertex l to local vertex l + 1 (mod 3) of triangle t.
     """
 
     dim_p1: int
@@ -190,6 +191,7 @@ class DofMaps:
     boundary_edge_index: np.ndarray
     rt_edge_dofs: np.ndarray
     rt_tri_dofs: np.ndarray
+    tri_edges: np.ndarray
 
 
 def build_dof_maps(mesh):
@@ -199,7 +201,8 @@ def build_dof_maps(mesh):
     pairs = np.sort(
         np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=0), axis=1
     )
-    edges = np.unique(pairs, axis=0)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    tri_edges = inverse.reshape(3, nt).T
     index = {(int(a), int(b)): e for e, (a, b) in enumerate(edges)}
 
     edge_is_boundary = np.zeros(len(edges), dtype=bool)
@@ -238,6 +241,7 @@ def build_dof_maps(mesh):
         boundary_edge_index=boundary_edge_index,
         rt_edge_dofs=rt_edge_dofs,
         rt_tri_dofs=rt_tri_dofs,
+        tri_edges=tri_edges,
     )
 
 

@@ -28,7 +28,6 @@ import numpy as np
 from .mesh import MeshError, element_geometry
 
 __all__ = [
-    "CertifiedEigenvalue",
     "ConstantsRecord",
     "boundary_element_edges",
     "certification_constant",
@@ -58,16 +57,6 @@ class ConstantsRecord:
     cert_const: float | None = None
     cr_const: float | None = None
     cr_simple: float | None = None
-
-
-@dataclass(frozen=True)
-class CertifiedEigenvalue:
-    """A two-sided enclosure of the index-th exact eigenvalue."""
-
-    index: int
-    upper: float
-    lower: float
-    method: str
 
 
 def boundary_element_edges(mesh):

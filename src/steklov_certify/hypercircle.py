@@ -32,6 +32,7 @@ from .assembly import (
     AssembledSystem,
     BoundaryField,
     TRIANGLE_RULE,
+    _P1_MASS_BLOCK,
     coefficients_of,
     p1_gradients,
     rt_divergence_vertex_values,
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 _ROUTE_TOL = 1e-9
-_P1_MASS_BLOCK = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
 class IncompatibleDataError(ValueError):

@@ -1,4 +1,4 @@
-"""Dense and sparse direct solvers plus a generalized symmetric eigensolver.
+"""Sparse direct solvers plus a generalized symmetric eigensolver.
 
 The eigensolver handles pencils (A, B) with A symmetric positive definite
 and B symmetric positive semidefinite, the shape of every pencil in this
@@ -8,10 +8,14 @@ with a Schur complement of A and solves the reduced reciprocal problem
 B* w = mu A* w, so the finite eigenvalues are returned exactly once and
 with B-orthonormal eigenvectors.
 
-Factorizations are deterministic direct methods: dense Cholesky / LAPACK
-eigh for the small conforming systems and a sparse LU for the large mixed
-saddle systems.  Solutions are verified against a residual tolerance and
-rejected loudly rather than returned silently wrong.
+Factorizations are deterministic sparse direct methods: a symmetric
+SuperLU factor for the positive definite systems (the conforming matrix
+and the interior block of every eigen pencil) and a pivoted sparse LU
+for the mixed saddle systems.  The only dense matrices are the Schur
+complement on the support of B, whose size is the number of boundary
+dofs, and the solution block of its |support| right-hand sides; LAPACK
+eigh runs on the former.  Solutions are verified against a residual
+tolerance and rejected loudly rather than returned silently wrong.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ __all__ = [
     "SaddleFactor",
     "SingularSystemError",
     "general_sym_eig",
-    "solve_saddle",
-    "solve_spd",
 ]
 
 _RESIDUAL_TOL = 1e-10
@@ -65,27 +67,43 @@ def _check_residual(apply_op, x, b, what):
 
 
 class CholeskyFactor:
-    """Dense Cholesky factorization of a symmetric positive definite matrix."""
+    """Sparse factorization of a symmetric positive definite matrix.
+
+    SuperLU runs in symmetric mode: a minimum degree ordering of a + a^T
+    applied to rows and columns alike, and diagonal pivots only.  Then
+    P a P^T = L U with U = D L^T, so by Sylvester's law of inertia a is
+    positive definite exactly when no row was swapped and every pivot
+    (diagonal of U) is positive; anything else raises
+    NotPositiveDefiniteError.  Each solve takes one step of iterative
+    refinement and checks the residual.
+    """
 
     def __init__(self, a):
-        a = _dense(a)
+        a = sp.csc_matrix(a, dtype=float)
         try:
-            self._factor = sla.cho_factor(a, lower=True, check_finite=False)
-        except sla.LinAlgError as exc:
+            lu = spla.splu(
+                a,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError as exc:
             raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
-        self._a = a
+        pivots = lu.U.diagonal()
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > 0.0)):
+            raise NotPositiveDefiniteError(
+                f"matrix is not positive definite: smallest pivot {pivots.min():.3e}"
+            )
+        self._lu = lu
+        self._a = a.tocsr()
 
     def solve(self, b, check=True):
         b = _dense(b)
-        x = sla.cho_solve(self._factor, b, check_finite=False)
+        x = self._lu.solve(b)
+        x += self._lu.solve(b - self._a @ x)
         if check:
             _check_residual(lambda v: self._a @ v, x, b, "Cholesky solve")
         return x
-
-
-def solve_spd(a, b):
-    """Solve a x = b with a symmetric positive definite (dense or sparse)."""
-    return CholeskyFactor(a).solve(b)
 
 
 class SaddleFactor:
@@ -113,23 +131,20 @@ class SaddleFactor:
         return x
 
 
-def solve_saddle(m, b):
-    """Solve the sparse symmetric indefinite system m x = b."""
-    return SaddleFactor(m).solve(b)
-
-
 @dataclass(frozen=True)
 class EigenResult:
     """Selected eigenpairs of a symmetric pencil.
 
     values are ascending for which="smallest" selections and descending
     for which="largest"; vectors (columns) are B-orthonormal; n_finite is
-    the total number of finite eigenvalues of the pencil.
+    the total number of finite eigenvalues of the pencil; support lists
+    the dofs where B has a nonzero row.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     n_finite: int
+    support: np.ndarray
 
 
 def _select(values, vectors, k, which):
@@ -149,6 +164,11 @@ def general_sym_eig(a, b, k=None, which="smallest"):
     are the reciprocals of the finite lambda; the same reciprocal route
     handles a b that spans every dof but is still singular.  Requesting
     which="largest" selects from the top of the finite spectrum.
+
+    Only the |support| x |support| blocks are dense: the interior block
+    of a is factored sparsely (CholeskyFactor) and solved for the
+    |support| columns of the coupling block.  The one exception is a b
+    whose support is every dof, which is densified whole.
     """
     if which not in ("smallest", "largest"):
         raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
@@ -159,13 +179,12 @@ def general_sym_eig(a, b, k=None, which="smallest"):
     if support.size == 0:
         raise LinearAlgebraError("b is zero: the pencil has no finite eigenvalues")
 
-    a_dense = _dense(a)
     if support.size == n:
         # full structural support: when b is actually positive definite
         # the pencil is a plain dense problem; a singular b falls through
         # to the reciprocal formulation below, which only needs a SPD.
         try:
-            values, vectors = sla.eigh(a_dense, _dense(b), check_finite=False)
+            values, vectors = sla.eigh(_dense(a), _dense(b), check_finite=False)
         except sla.LinAlgError:
             pass
         else:
@@ -175,27 +194,27 @@ def general_sym_eig(a, b, k=None, which="smallest"):
             if k > n_finite:
                 raise LinearAlgebraError(f"requested {k} eigenpairs, pencil has {n_finite}")
             values, vectors = _select(values, vectors, k, which)
-            return EigenResult(values, vectors, n_finite)
+            return EigenResult(values, vectors, n_finite, support)
 
-    mask = np.zeros(n, dtype=bool)
-    mask[support] = True
-    idx_b = np.nonzero(mask)[0]
-    idx_i = np.nonzero(~mask)[0]
-    a_bb = a_dense[np.ix_(idx_b, idx_b)]
+    idx_b = support
+    interior = np.ones(n, dtype=bool)
+    interior[idx_b] = False
+    idx_i = np.flatnonzero(interior)
+    a_sp = sp.csr_matrix(a, dtype=float)
+    a_schur = _dense(a_sp[idx_b][:, idx_b])
     if idx_i.size:
-        a_ii = a_dense[np.ix_(idx_i, idx_i)]
-        a_ib = a_dense[np.ix_(idx_i, idx_b)]
+        a_i = a_sp[idx_i]
+        a_ib = a_i[:, idx_b]
         try:
-            factor = sla.cho_factor(a_ii, lower=True, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise NotPositiveDefiniteError(f"interior block of a is not SPD: {exc}") from exc
-        x = sla.cho_solve(factor, a_ib, check_finite=False)
-        a_schur = a_bb - a_ib.T @ x
+            factor = CholeskyFactor(a_i[:, idx_i])
+        except NotPositiveDefiniteError as exc:
+            raise NotPositiveDefiniteError(f"interior block of a: {exc}") from exc
+        x = factor.solve(a_ib)
+        a_schur -= a_ib.T @ x
     else:
         x = np.zeros((0, idx_b.size))
-        a_schur = a_bb
     a_schur = 0.5 * (a_schur + a_schur.T)
-    b_bb = _dense(b_sp[np.ix_(idx_b, idx_b)])
+    b_bb = _dense(b_sp[idx_b][:, idx_b])
 
     try:
         mu, w = sla.eigh(b_bb, a_schur, check_finite=False)
@@ -221,4 +240,4 @@ def general_sym_eig(a, b, k=None, which="smallest"):
     vectors[idx_b] = w_f * scale[None, :]
     vectors[idx_i] = -x @ vectors[idx_b]
     values, vectors = _select(values, vectors, k, which)
-    return EigenResult(values, vectors, n_finite)
+    return EigenResult(values, vectors, n_finite, support)

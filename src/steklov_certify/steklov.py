@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import assemble_boundary, assemble_p1, build_dof_maps, p1_gradients, scatter_csr
 from .linalg import general_sym_eig
@@ -65,7 +64,7 @@ def degenerate_groups(values, rtol=_GROUP_RTOL):
 def _fix_signs(vectors, support):
     """Flip columns so the largest-magnitude supported entry is positive."""
     out = vectors.copy()
-    block = out[support] if support is not None else out
+    block = out[support]
     for j in range(out.shape[1]):
         i = int(np.argmax(np.abs(block[:, j])))
         if block[i, j] < 0.0:
@@ -87,8 +86,7 @@ def solve_steklov_p1(mesh, k, operators=None):
         stiffness, mass, boundary = operators
     boundary_mat = getattr(boundary, "vertex_boundary_mass", boundary)
     result = general_sym_eig(stiffness + mass, boundary_mat, k=k, which="smallest")
-    boundary_set = np.unique(mesh.boundary_edges)
-    vectors = _fix_signs(result.vectors, boundary_set)
+    vectors = _fix_signs(result.vectors, result.support)
     return SteklovSpectrum(
         method="conforming",
         values=result.values,
@@ -108,18 +106,12 @@ def assemble_cr(mesh):
     exact edgewise integrals of the traces, which are linear per edge.
     """
     dofs = build_dof_maps(mesh)
-    edge_index = {(int(a), int(b)): e for e, (a, b) in enumerate(dofs.edges)}
-    nt = mesh.num_triangles
     ne = len(dofs.edges)
     tris = mesh.triangles
     areas = mesh.triangle_areas()
 
     # edge_of[t, i] is the edge opposite local vertex i
-    edge_of = np.empty((nt, 3), dtype=np.int64)
-    for t in range(nt):
-        for i in range(3):
-            a, b = int(tris[t, (i + 1) % 3]), int(tris[t, (i + 2) % 3])
-            edge_of[t, i] = edge_index[(min(a, b), max(a, b))]
+    edge_of = dofs.tri_edges[:, [1, 2, 0]]
 
     grads = p1_gradients(mesh)
     s_loc = 4.0 * np.einsum("tie,tje->tij", grads, grads) * areas[:, None, None]
@@ -134,24 +126,24 @@ def assemble_cr(mesh):
         (ne, ne),
     )
 
-    b_rows, b_cols, b_data = [], [], []
+    # traces[j, p, i]: the CR basis function opposite local vertex i of
+    # the triangle owning boundary edge j, at endpoint p of that edge;
+    # -1 where the endpoint is vertex i itself, +1 otherwise
+    owner = tris[mesh.boundary_triangles]
+    traces = 1.0 - 2.0 * (owner[:, None, :] == mesh.boundary_edges[:, :, None])
     lengths = mesh.boundary_edge_lengths()
-    for j in range(mesh.num_boundary_edges):
-        a, b = map(int, mesh.boundary_edges[j])
-        t = int(mesh.boundary_triangles[j])
-        tri = [int(v) for v in tris[t]]
-        la, lb = tri.index(a), tri.index(b)
-        # traces of the three CR basis functions at the edge endpoints
-        ta = 1.0 - 2.0 * (np.arange(3) == la)
-        tb = 1.0 - 2.0 * (np.arange(3) == lb)
-        block = (lengths[j] / 6.0) * (
-            2.0 * np.outer(ta, ta) + np.outer(ta, tb) + np.outer(tb, ta) + 2.0 * np.outer(tb, tb)
-        )
-        block = 0.5 * (block + block.T)
-        b_rows.append(np.repeat(edge_of[t], 3))
-        b_cols.append(np.tile(edge_of[t], 3))
-        b_data.append(block.ravel())
-    boundary_form = scatter_csr(b_rows, b_cols, b_data, (ne, ne))
+    # integer weights keep each block an exact multiple of |e| / 6
+    edge_mass = np.array([[2.0, 1.0], [1.0, 2.0]])
+    blocks = (lengths / 6.0)[:, None, None] * np.einsum(
+        "jpi,pq,jqk->jik", traces, edge_mass, traces
+    )
+    b_edges = edge_of[mesh.boundary_triangles]
+    boundary_form = scatter_csr(
+        [np.repeat(b_edges, 3, axis=1).ravel()],
+        [np.tile(b_edges, (1, 3)).ravel()],
+        [blocks.ravel()],
+        (ne, ne),
+    )
     return stiffness, mass, boundary_form, dofs
 
 
@@ -159,8 +151,7 @@ def solve_steklov_cr(mesh, k):
     """The k smallest Crouzeix-Raviart Steklov eigenvalues of the mesh."""
     stiffness, mass, boundary_form, dofs = assemble_cr(mesh)
     result = general_sym_eig(stiffness + mass, boundary_form, k=k, which="smallest")
-    support = np.unique(sp.csr_matrix(boundary_form).indices)
-    vectors = _fix_signs(result.vectors, support)
+    vectors = _fix_signs(result.vectors, result.support)
     return SteklovSpectrum(
         method="cr",
         values=result.values,

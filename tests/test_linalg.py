@@ -12,8 +12,6 @@ from steklov_certify.linalg import (
     SaddleFactor,
     SingularSystemError,
     general_sym_eig,
-    solve_saddle,
-    solve_spd,
 )
 from steklov_certify.mesh import uniform_square_mesh
 
@@ -25,12 +23,12 @@ from oracles import dense_pencil_eigenvalues
 
 def test_solve_spd_identity():
     b = np.array([3.0, -1.0, 2.0])
-    assert np.array_equal(solve_spd(sp.eye(3, format="csr"), b), b)
+    assert np.array_equal(CholeskyFactor(sp.eye(3, format="csr")).solve(b), b)
 
 
 def test_solve_spd_hand_system():
     a = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-    x = solve_spd(a, np.array([1.0, 2.0]))
+    x = CholeskyFactor(a).solve(np.array([1.0, 2.0]))
     assert np.allclose(x, [1.0 / 11.0, 7.0 / 11.0], atol=1e-14)
 
 
@@ -59,18 +57,37 @@ def test_solve_spd_rejects_indefinite():
         CholeskyFactor(a)
 
 
+def test_cholesky_rejects_indefinite_with_positive_diagonal():
+    """Every diagonal entry is positive but the determinant is not: a
+    pivoted LU would factor this quietly, the inertia check must not."""
+    a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+        CholeskyFactor(a)
+    # the same block as the interior block of an eigen pencil
+    pencil_a = sp.block_diag([a, sp.csr_matrix([[1.0]])], format="csr")
+    pencil_b = sp.csr_matrix(np.diag([0.0, 0.0, 1.0]))
+    with pytest.raises(NotPositiveDefiniteError, match="interior block"):
+        general_sym_eig(pencil_a, pencil_b, k=1)
+
+
+def test_cholesky_rejects_singular():
+    a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(NotPositiveDefiniteError):
+        CholeskyFactor(a)
+
+
 # --- saddle solves ------------------------------------------------------
 
 
 def test_saddle_toy_system():
     m = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
-    x = solve_saddle(m, np.array([1.0, 1.0]))
+    x = SaddleFactor(m).solve(np.array([1.0, 1.0]))
     assert np.allclose(x, [1.0, 0.0], atol=1e-14)
 
 
 def test_saddle_zero_rhs():
     m = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 0.0]]))
-    assert np.array_equal(solve_saddle(m, np.zeros(2)), np.zeros(2))
+    assert np.array_equal(SaddleFactor(m).solve(np.zeros(2)), np.zeros(2))
 
 
 def test_saddle_rejects_rectangular():
