@@ -32,10 +32,6 @@ from .hypercircle import (
     FluxSolution,
     NeumannSolution,
     ProjectionConstant,
-    equilibration_error,
-    projection_error_constant,
-    solve_equilibrated_flux,
-    solve_neumann,
 )
 from .linalg import EigenResult, general_sym_eig
 from .mesh import (
@@ -75,15 +71,11 @@ __all__ = [
     "cr_error_constant",
     "edge_trace_constant",
     "element_geometry",
-    "equilibration_error",
     "general_sym_eig",
     "project_boundary",
-    "projection_error_constant",
     "rayleigh_quotient",
     "read_mesh",
     "reference_eigenvalues",
-    "solve_equilibrated_flux",
-    "solve_neumann",
     "solve_steklov_cr",
     "solve_steklov_p1",
     "trace_constant_bound",

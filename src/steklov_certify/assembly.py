@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh
+from .mesh import Mesh, boundary_local_edges
 
 __all__ = [
     "AssembledSystem",
@@ -92,8 +92,9 @@ def p1_gradients(mesh):
 
 
 def scatter_csr(rows, cols, data, shape):
-    mat = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
-    return mat.tocsr()
+    """Sum the entries data at (rows, cols) into a csr matrix; the three
+    arrays are read in flattened order and have one size."""
+    return sp.coo_matrix((np.ravel(data), (np.ravel(rows), np.ravel(cols))), shape=shape).tocsr()
 
 
 def assemble_p1(mesh):
@@ -105,10 +106,10 @@ def assemble_p1(mesh):
     s_loc = np.einsum("tie,tje->tij", grads, grads) * areas[:, None, None]
     s_loc = 0.5 * (s_loc + np.transpose(s_loc, (0, 2, 1)))
     m_loc = _P1_MASS_BLOCK[None, :, :] * areas[:, None, None]
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    stiffness = scatter_csr([rows], [cols], [s_loc.ravel()], (n, n))
-    mass = scatter_csr([rows], [cols], [m_loc.ravel()], (n, n))
+    rows = np.repeat(tris, 3, axis=1)
+    cols = np.tile(tris, (1, 3))
+    stiffness = scatter_csr(rows, cols, s_loc, (n, n))
+    mass = scatter_csr(rows, cols, m_loc, (n, n))
     return stiffness, mass
 
 
@@ -137,45 +138,41 @@ class BoundaryOperators:
     trace_map: np.ndarray
 
 
+def _block_diagonal(blocks):
+    """Dense (2 nb, 2 nb) matrix with the (nb, 2, 2) blocks on its diagonal."""
+    slots = np.arange(2 * len(blocks)).reshape(-1, 2)
+    out = np.zeros((2 * len(blocks), 2 * len(blocks)))
+    out[slots[:, :, None], slots[:, None, :]] = blocks
+    return out
+
+
 def assemble_boundary(mesh):
     n = mesh.num_vertices
-    nb = mesh.num_boundary_edges
-    s = 2 * nb
-    lengths = mesh.boundary_edge_lengths()
-
-    coupling = np.zeros((n, s))
-    gram = np.zeros((s, s))
-    trace_map = np.zeros((s, s))
-    rows, cols, data = [], [], []
-    for j in range(nb):
-        a, b = map(int, mesh.boundary_edges[j])
-        ell = lengths[j]
-        block = ell * _EDGE_MASS_BLOCK
-        gram[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block
-        coupling[np.ix_((a, b), (2 * j, 2 * j + 1))] += block
-        rows.append(np.array([a, a, b, b]))
-        cols.append(np.array([a, b, a, b]))
-        data.append(ell * np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3]))
-        if a < b:
-            trace_map[2 * j, 2 * j] = 1.0
-            trace_map[2 * j + 1, 2 * j + 1] = 1.0
-        else:
-            # loop runs against the global edge orientation: the min-vertex
-            # dof reads the slot of b and the normal flips sign
-            trace_map[2 * j, 2 * j + 1] = -1.0
-            trace_map[2 * j + 1, 2 * j] = -1.0
-    vertex_boundary_mass = scatter_csr(rows, cols, data, (n, n))
-    return BoundaryOperators(coupling, gram, vertex_boundary_mass, trace_map)
+    edges = mesh.boundary_edges
+    slots = np.arange(2 * len(edges)).reshape(-1, 2)
+    blocks = mesh.boundary_edge_lengths()[:, None, None] * _EDGE_MASS_BLOCK
+    coupling = np.zeros((n, 2 * len(edges)))
+    coupling[edges[:, :, None], slots[:, None, :]] = blocks
+    vertex_boundary_mass = scatter_csr(
+        np.repeat(edges, 2, axis=1), np.tile(edges, (1, 2)), blocks, (n, n)
+    )
+    # where the loop runs against the global edge orientation, the
+    # min-vertex dof reads the slot of b and the normal flips sign
+    forward = (edges[:, 0] < edges[:, 1])[:, None, None]
+    signs = np.where(forward, np.eye(2), np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    return BoundaryOperators(
+        coupling, _block_diagonal(blocks), vertex_boundary_mass, _block_diagonal(signs)
+    )
 
 
 @dataclass(frozen=True)
 class DofMaps:
     """Dimensions and index tables of all spaces on one mesh.
 
-    dim_p1 + 1 counts nothing special; the invariants are
-    dim_rt_interior + dim_rt_boundary = 2*len(edges) + 2*num_triangles and
-    dim_rt_boundary = dim_trace.  tri_edges[t, l] is the number of the
-    edge from local vertex l to local vertex l + 1 (mod 3) of triangle t.
+    The invariants are dim_rt_interior + dim_rt_boundary =
+    2*len(edges) + 2*num_triangles and dim_rt_boundary = dim_trace.
+    tri_edges[t, l] is the number of the edge from local vertex l to
+    local vertex l + 1 (mod 3) of triangle t.
     """
 
     dim_p1: int
@@ -183,9 +180,6 @@ class DofMaps:
     dim_trace: int
     dim_rt_interior: int
     dim_rt_boundary: int
-    rt_interior: np.ndarray
-    rt_boundary: np.ndarray
-    boundary_vertices: np.ndarray
     edges: np.ndarray
     edge_is_boundary: np.ndarray
     boundary_edge_index: np.ndarray
@@ -203,39 +197,23 @@ def build_dof_maps(mesh):
     )
     edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
     tri_edges = inverse.reshape(3, nt).T
-    index = {(int(a), int(b)): e for e, (a, b) in enumerate(edges)}
-
+    boundary_edge_index = tri_edges[mesh.boundary_triangles, boundary_local_edges(mesh)]
     edge_is_boundary = np.zeros(len(edges), dtype=bool)
-    boundary_edge_index = np.empty(nb, dtype=np.int64)
-    for j, (a, b) in enumerate(mesh.boundary_edges):
-        e = index[(min(int(a), int(b)), max(int(a), int(b)))]
-        edge_is_boundary[e] = True
-        boundary_edge_index[j] = e
+    edge_is_boundary[boundary_edge_index] = True
 
-    n_interior_edges = int((~edge_is_boundary).sum())
+    n_interior_edges = len(edges) - nb
     p_int = 2 * n_interior_edges + 2 * nt
-    p_bnd = 2 * nb
-
-    rt_edge_dofs = np.empty((len(edges), 2), dtype=np.int64)
-    rank = np.cumsum(~edge_is_boundary) - 1
-    for e in range(len(edges)):
-        if not edge_is_boundary[e]:
-            rt_edge_dofs[e] = (2 * rank[e], 2 * rank[e] + 1)
-    for j, e in enumerate(boundary_edge_index):
-        rt_edge_dofs[e] = (p_int + 2 * j, p_int + 2 * j + 1)
-    rt_tri_dofs = 2 * n_interior_edges + np.column_stack(
-        [2 * np.arange(nt), 2 * np.arange(nt) + 1]
-    )
+    first = 2 * (np.cumsum(~edge_is_boundary) - 1)
+    first[boundary_edge_index] = p_int + 2 * np.arange(nb)
+    rt_edge_dofs = first[:, None] + np.arange(2)
+    rt_tri_dofs = 2 * n_interior_edges + np.arange(2 * nt).reshape(nt, 2)
 
     return DofMaps(
         dim_p1=mesh.num_vertices,
         dim_broken=3 * nt,
         dim_trace=2 * nb,
         dim_rt_interior=p_int,
-        dim_rt_boundary=p_bnd,
-        rt_interior=np.arange(p_int),
-        rt_boundary=np.arange(p_int, p_int + p_bnd),
-        boundary_vertices=mesh.boundary_vertices.copy(),
+        dim_rt_boundary=2 * nb,
         edges=edges,
         edge_is_boundary=edge_is_boundary,
         boundary_edge_index=boundary_edge_index,
@@ -263,32 +241,37 @@ class RTElements:
 
 
 def _monomial_values(pts):
-    """Monomial flux fields at local points, (q, 8, 2)."""
-    xi, eta = pts[:, 0], pts[:, 1]
-    q = len(pts)
-    vals = np.zeros((q, 8, 2))
-    vals[:, 0, 0] = 1.0
-    vals[:, 1, 0] = xi
-    vals[:, 2, 0] = eta
-    vals[:, 3, 1] = 1.0
-    vals[:, 4, 1] = xi
-    vals[:, 5, 1] = eta
-    vals[:, 6, 0] = xi * xi
-    vals[:, 6, 1] = xi * eta
-    vals[:, 7, 0] = xi * eta
-    vals[:, 7, 1] = eta * eta
+    """Monomial flux fields at local points (..., 2), shape (..., 8, 2)."""
+    xi, eta = pts[..., 0], pts[..., 1]
+    vals = np.zeros(pts.shape[:-1] + (8, 2))
+    vals[..., 0, 0] = 1.0
+    vals[..., 1, 0] = xi
+    vals[..., 2, 0] = eta
+    vals[..., 3, 1] = 1.0
+    vals[..., 4, 1] = xi
+    vals[..., 5, 1] = eta
+    vals[..., 6, 0] = xi * xi
+    vals[..., 6, 1] = xi * eta
+    vals[..., 7, 0] = xi * eta
+    vals[..., 7, 1] = eta * eta
     return vals
 
 
 def _monomial_divergences(pts, scale):
-    """Physical divergence of the monomial fields at local points, (q, 8)."""
-    xi, eta = pts[:, 0], pts[:, 1]
-    div = np.zeros((len(pts), 8))
-    div[:, 1] = 1.0 / scale
-    div[:, 5] = 1.0 / scale
-    div[:, 6] = 3.0 * xi / scale
-    div[:, 7] = 3.0 * eta / scale
+    """Physical divergence of the monomial fields at local points (..., 2),
+    shape (..., 8); scale broadcasts against pts[..., 0]."""
+    xi, eta = pts[..., 0], pts[..., 1]
+    div = np.zeros(pts.shape[:-1] + (8,))
+    div[..., 1] = 1.0 / scale
+    div[..., 5] = 1.0 / scale
+    div[..., 6] = 3.0 * xi / scale
+    div[..., 7] = 3.0 * eta / scale
     return div
+
+
+def _local_vertices(mesh, centroids, scales):
+    """Triangle vertices in each element's local frame, (nt, 3, 2)."""
+    return (mesh.vertices[mesh.triangles] - centroids[:, None, :]) / scales[:, None, None]
 
 
 def assemble_rt1(mesh, dofs):
@@ -301,72 +284,46 @@ def assemble_rt1(mesh, dofs):
     bary, wq = TRIANGLE_RULE
     nt = mesh.num_triangles
     p_total = dofs.dim_rt_interior + dofs.dim_rt_boundary
-    m_total = dofs.dim_broken
+    tris = mesh.triangles
+    areas = mesh.triangle_areas()
 
     edge_vec = mesh.vertices[dofs.edges[:, 1]] - mesh.vertices[dofs.edges[:, 0]]
     edge_len = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
     edge_normal = np.column_stack([edge_vec[:, 1], -edge_vec[:, 0]]) / edge_len[:, None]
 
-    edge_index = {(int(a), int(b)): e for e, (a, b) in enumerate(dofs.edges)}
-    areas = mesh.triangle_areas()
+    centroids = mesh.vertices[tris].mean(axis=1)
+    scales = mesh.edge_lengths_per_triangle().max(axis=1)
+    xi = _local_vertices(mesh, centroids, scales)
 
-    gdofs_all = np.empty((nt, 8), dtype=np.int64)
-    coeffs_all = np.empty((nt, 8, 8))
-    centroids = np.empty((nt, 2))
-    scales = np.empty(nt)
+    # rows 2l and 2l+1 of the Vandermonde: the normal trace on local edge
+    # l at its global min and max vertex
+    pair = np.array([[0, 1], [1, 2], [2, 0]])
+    ends = np.where((tris < np.roll(tris, -1, axis=1))[:, :, None], pair, pair[:, ::-1])
+    ends_xi = xi[np.arange(nt)[:, None, None], ends]
+    normals = edge_normal[dofs.tri_edges][:, :, None, :, None]
+    v = np.empty((nt, 8, 8))
+    v[:, :6] = (_monomial_values(ends_xi) @ normals).reshape(nt, 6, 8)
+    pts = bary @ xi
+    mvals = _monomial_values(pts)
+    v[:, 6:8] = np.einsum("q,tqmd->tdm", wq, mvals)
+    c = np.linalg.inv(v)
 
-    q_rows, q_cols, q_data = [], [], []
-    n_rows, n_cols, n_data = [], [], []
-    local_rows = np.repeat(np.arange(3), 8)
+    mass_mono = areas[:, None, None] * np.einsum("q,tqmd,tqnd->tmn", wq, mvals, mvals)
+    mass_elem = np.swapaxes(c, 1, 2) @ mass_mono @ c
+    mass_elem = 0.5 * (mass_elem + np.swapaxes(mass_elem, 1, 2))
+    div_mono = _monomial_divergences(pts, scales[:, None])
+    div_elem = (areas[:, None, None] * np.einsum("q,qi,tqm->tim", wq, bary, div_mono)) @ c
 
-    for t in range(nt):
-        tri = mesh.triangles[t]
-        p = mesh.vertices[tri]
-        centroid = p.mean(axis=0)
-        scale = float(np.hypot(*(np.roll(p, -1, axis=0) - p).T).max())
-        xi = (p - centroid) / scale
-
-        v = np.empty((8, 8))
-        gdofs = np.empty(8, dtype=np.int64)
-        for l in range(3):
-            a, b = int(tri[l]), int(tri[(l + 1) % 3])
-            key = (min(a, b), max(a, b))
-            e = edge_index[key]
-            normal = edge_normal[e]
-            lo = l if a < b else (l + 1) % 3
-            hi = (l + 1) % 3 if a < b else l
-            v[2 * l] = _monomial_values(xi[lo : lo + 1])[0] @ normal
-            v[2 * l + 1] = _monomial_values(xi[hi : hi + 1])[0] @ normal
-            gdofs[2 * l : 2 * l + 2] = dofs.rt_edge_dofs[e]
-        pts = bary @ xi
-        mvals = _monomial_values(pts)
-        v[6] = wq @ mvals[:, :, 0]
-        v[7] = wq @ mvals[:, :, 1]
-        gdofs[6:8] = dofs.rt_tri_dofs[t]
-
-        c = np.linalg.inv(v)
-        mass_mono = areas[t] * np.einsum("q,qmd,qnd->mn", wq, mvals, mvals)
-        mass_elem = c.T @ mass_mono @ c
-        mass_elem = 0.5 * (mass_elem + mass_elem.T)
-
-        div_mono = _monomial_divergences(pts, scale)
-        div_elem = (areas[t] * np.einsum("q,qi,qm->im", wq, bary, div_mono)) @ c
-
-        q_rows.append(np.repeat(gdofs, 8))
-        q_cols.append(np.tile(gdofs, 8))
-        q_data.append(mass_elem.ravel())
-        n_rows.append(3 * t + local_rows)
-        n_cols.append(np.tile(gdofs, 3))
-        n_data.append(div_elem.ravel())
-
-        gdofs_all[t] = gdofs
-        coeffs_all[t] = c
-        centroids[t] = centroid
-        scales[t] = scale
-
-    rt_mass = scatter_csr(q_rows, q_cols, q_data, (p_total, p_total))
-    div_coupling = scatter_csr(n_rows, n_cols, n_data, (m_total, p_total))
-    elements = RTElements(gdofs_all, coeffs_all, centroids, scales, areas.copy())
+    gdofs = np.concatenate(
+        [dofs.rt_edge_dofs[dofs.tri_edges].reshape(nt, 6), dofs.rt_tri_dofs], axis=1
+    )
+    rt_mass = scatter_csr(
+        np.repeat(gdofs, 8, axis=1), np.tile(gdofs, (1, 8)), mass_elem, (p_total, p_total)
+    )
+    div_coupling = scatter_csr(
+        np.repeat(np.arange(3 * nt), 8), np.tile(gdofs, (1, 3)), div_elem, (3 * nt, p_total)
+    )
+    elements = RTElements(gdofs, c, centroids, scales, areas)
     return rt_mass, div_coupling, elements
 
 
@@ -378,11 +335,9 @@ def assemble_broken(mesh):
     areas = mesh.triangle_areas()
     blocks = _P1_MASS_BLOCK[None, :, :] * areas[:, None, None]
     broken_ids = (3 * np.arange(nt))[:, None] + np.arange(3)[None, :]
-    rows = np.repeat(broken_ids, 3, axis=1).ravel()
-    cols_mass = np.tile(broken_ids, (1, 3)).ravel()
-    cols_coupling = np.tile(mesh.triangles, (1, 3)).ravel()
-    broken_mass = scatter_csr([rows], [cols_mass], [blocks.ravel()], (m, m))
-    broken_coupling = scatter_csr([rows], [cols_coupling], [blocks.ravel()], (m, n))
+    rows = np.repeat(broken_ids, 3, axis=1)
+    broken_mass = scatter_csr(rows, np.tile(broken_ids, (1, 3)), blocks, (m, m))
+    broken_coupling = scatter_csr(rows, np.tile(mesh.triangles, (1, 3)), blocks, (m, n))
     moments = np.repeat(areas / 3.0, 3)
     return broken_mass, broken_coupling, moments
 
@@ -392,9 +347,9 @@ class AssembledSystem:
     """All matrices of one mesh, in a fixed deterministic dof order.
 
     Flux matrices are stored with interior dofs first and the boundary
-    dofs (loop order) last; rt_mass_ii / rt_mass_ib / rt_mass_bb and
-    div_interior / div_boundary are the corresponding blocks of rt_mass
-    and div_coupling.
+    dofs (loop order) last; rt_mass_ii / rt_mass_ib and div_interior /
+    div_boundary are the corresponding blocks of rt_mass and
+    div_coupling.
     """
 
     mesh: Mesh
@@ -411,7 +366,6 @@ class AssembledSystem:
     rt_mass: sp.csr_matrix
     rt_mass_ii: sp.csr_matrix
     rt_mass_ib: sp.csr_matrix
-    rt_mass_bb: sp.csr_matrix
     div_interior: sp.csr_matrix
     div_boundary: sp.csr_matrix
     rt_elements: RTElements
@@ -451,7 +405,6 @@ def assemble_system(mesh):
         rt_mass=rt_mass,
         rt_mass_ii=rt_csc[:, :p_int][:p_int].tocsr(),
         rt_mass_ib=rt_csc[:, p_int:][:p_int].tocsr(),
-        rt_mass_bb=rt_csc[:, p_int:][p_int:].tocsr(),
         div_interior=div_csc[:, :p_int].tocsr(),
         div_boundary=div_csc[:, p_int:].tocsr(),
         rt_elements=elements,
@@ -514,19 +467,18 @@ def project_boundary(mesh, data, n_gauss=10):
     return BoundaryField(g)
 
 
+def _local_coefficients(system, x):
+    """Monomial coefficients of a flux field on every element, (nt, 8)."""
+    el = system.rt_elements
+    return (el.coeffs @ np.asarray(x)[el.gdofs][:, :, None])[:, :, 0]
+
+
 def rt_values_at_quadrature(system, x):
     """Flux field values at the triangle-rule points, (nt, q, 2)."""
     bary, _ = TRIANGLE_RULE
     el = system.rt_elements
-    mesh = system.mesh
-    x = np.asarray(x)
-    nt = mesh.num_triangles
-    out = np.empty((nt, len(bary), 2))
-    for t in range(nt):
-        local = el.coeffs[t] @ x[el.gdofs[t]]
-        pts = bary @ ((mesh.vertices[mesh.triangles[t]] - el.centroids[t]) / el.scales[t])
-        out[t] = np.einsum("qmd,m->qd", _monomial_values(pts), local)
-    return out
+    pts = bary @ _local_vertices(system.mesh, el.centroids, el.scales)
+    return np.einsum("tqmd,tm->tqd", _monomial_values(pts), _local_coefficients(system, x))
 
 
 def rt_divergence_vertex_values(system, x):
@@ -535,14 +487,6 @@ def rt_divergence_vertex_values(system, x):
     The divergence is linear per element, so vertex values determine it.
     """
     el = system.rt_elements
-    mesh = system.mesh
-    x = np.asarray(x)
-    nt = mesh.num_triangles
-    out = np.empty((nt, 3))
-    for t in range(nt):
-        local = el.coeffs[t] @ x[el.gdofs[t]]
-        xi = (mesh.vertices[mesh.triangles[t]] - el.centroids[t]) / el.scales[t]
-        out[t] = (
-            local[1] + local[5] + 3.0 * (local[6] * xi[:, 0] + local[7] * xi[:, 1])
-        ) / el.scales[t]
-    return out
+    xi = _local_vertices(system.mesh, el.centroids, el.scales)
+    div = _monomial_divergences(xi, el.scales[:, None])
+    return np.einsum("tim,tm->ti", div, _local_coefficients(system, x))

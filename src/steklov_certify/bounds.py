@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import MeshError, element_geometry
+from .mesh import MeshError, boundary_local_edges, element_geometry
 
 __all__ = [
     "ConstantsRecord",
@@ -60,22 +60,14 @@ class ConstantsRecord:
 
 
 def boundary_element_edges(mesh):
-    """Yield (triangle, local edge index) for every boundary edge.
+    """Iterate (triangle, local edge index) over every boundary edge.
 
     Corner triangles with several boundary edges appear once per edge, so
     maximizing a per-(element, edge) quantity over this iterator covers
-    all admissible pairs.
+    all admissible pairs.  Raises MeshError for a boundary edge that is
+    not an edge of its recorded triangle.
     """
-    for j in range(mesh.num_boundary_edges):
-        a, b = map(int, mesh.boundary_edges[j])
-        t = int(mesh.boundary_triangles[j])
-        tri = [int(v) for v in mesh.triangles[t]]
-        for l in range(3):
-            if {tri[l], tri[(l + 1) % 3]} == {a, b}:
-                yield t, l
-                break
-        else:
-            raise MeshError(f"boundary edge {j} not found in triangle {t}")
+    return zip(mesh.boundary_triangles.tolist(), boundary_local_edges(mesh).tolist())
 
 
 def edge_trace_constant(geom, edge):

@@ -46,10 +46,6 @@ __all__ = [
     "IncompatibleDataError",
     "NeumannSolution",
     "ProjectionConstant",
-    "equilibration_error",
-    "projection_error_constant",
-    "solve_equilibrated_flux",
-    "solve_neumann",
 ]
 
 _ROUTE_TOL = 1e-9
@@ -241,22 +237,3 @@ def _direct_error_squared(system, y, x):
     sq = np.einsum("tqd,tqd->tq", diff, diff)
     return float((system.mesh.triangle_areas() * (sq @ wq)).sum())
 
-
-def solve_neumann(system, data):
-    """One-off conforming Neumann solve; see EquilibrationSolver."""
-    return EquilibrationSolver(system).solve_neumann(data)
-
-
-def solve_equilibrated_flux(system, data, neumann):
-    """One-off equilibrated flux solve; see EquilibrationSolver."""
-    return EquilibrationSolver(system).solve_flux(data, neumann)
-
-
-def equilibration_error(system, neumann, flux, check_routes=True):
-    """One-off error quantity; see EquilibrationSolver.error_norm."""
-    return EquilibrationSolver(system).error_norm(neumann, flux, check_routes=check_routes)
-
-
-def projection_error_constant(system):
-    """One-off projection constant; see EquilibrationSolver.constant."""
-    return EquilibrationSolver(system).constant()

@@ -21,6 +21,7 @@ __all__ = [
     "ElementGeometry",
     "Mesh",
     "MeshError",
+    "boundary_local_edges",
     "element_geometry",
     "read_mesh",
     "uniform_lshape_mesh",
@@ -148,6 +149,26 @@ def element_geometry(mesh, t):
     )
 
 
+def boundary_local_edges(mesh):
+    """Local edge l of each boundary edge (a, b) in its recorded triangle.
+
+    Returns an (nb,) int array with tri[l] == a and tri[(l + 1) % 3] == b
+    for tri = triangles[boundary_triangles[j]]; raises MeshError for a
+    boundary edge that is not a counterclockwise edge of that triangle.
+    """
+    owner = mesh.triangles[mesh.boundary_triangles]
+    a, b = mesh.boundary_edges[:, :1], mesh.boundary_edges[:, 1:]
+    hit = (owner == a) & (np.roll(owner, -1, axis=1) == b)
+    bad = np.nonzero(hit.sum(axis=1) != 1)[0]
+    if bad.size:
+        j = int(bad[0])
+        raise MeshError(
+            f"boundary edge {j} = ({a[j, 0]}, {b[j, 0]}) is not an edge of triangle "
+            f"{mesh.boundary_triangles[j]} in its counterclockwise orientation"
+        )
+    return hit.argmax(axis=1)
+
+
 def _split_cell(a, b, c, d, flip):
     """Two counterclockwise triangles of the cell with corners a, b, c, d
     (lower-left, lower-right, upper-right, upper-left).  flip selects the
@@ -253,13 +274,13 @@ def uniform_lshape_mesh(n):
     return _attach_boundary(vertices, triangles, edges, "l_shape")
 
 
-def _triangle_edge_set(mesh):
-    """Map sorted vertex pair -> list of (triangle, local edge) incidences."""
+def _triangle_edge_set(triangles):
+    """Map sorted vertex pair -> list of the triangles containing it."""
     incidence = {}
-    for t, tri in enumerate(mesh.triangles):
+    for t, tri in enumerate(triangles):
         for l in range(3):
             a, b = int(tri[l]), int(tri[(l + 1) % 3])
-            incidence.setdefault((min(a, b), max(a, b)), []).append((t, l))
+            incidence.setdefault((min(a, b), max(a, b)), []).append(t)
     return incidence
 
 
@@ -288,7 +309,7 @@ def validate_mesh(mesh):
     if bad.size:
         raise MeshError(f"triangle {bad[0]} is degenerate or clockwise (signed area {areas[bad[0]]})")
 
-    incidence = _triangle_edge_set(mesh)
+    incidence = _triangle_edge_set(mesh.triangles)
     listed = {}
     for j, (a, b) in enumerate(mesh.boundary_edges):
         key = (min(int(a), int(b)), max(int(a), int(b)))
@@ -300,17 +321,15 @@ def validate_mesh(mesh):
             raise MeshError(f"boundary edge {j} = {key} belongs to no triangle (dangling)")
         if len(hits) > 1:
             raise MeshError(f"boundary edge {j} = {key} is shared by {len(hits)} triangles")
-        t, l = hits[0]
+        t = hits[0]
         if t != mesh.boundary_triangles[j]:
             raise MeshError(f"boundary edge {j}: recorded triangle {mesh.boundary_triangles[j]}, actual {t}")
-        tri = mesh.triangles[t]
-        if not (tri[l] == a and tri[(l + 1) % 3] == b):
-            raise MeshError(f"boundary edge {j} = ({a}, {b}) is oriented against its triangle")
     for key, hits in incidence.items():
         if len(hits) == 1 and key not in listed:
             raise MeshError(f"edge {key} lies on the boundary but is missing from boundary_edges")
         if len(hits) > 2:
             raise MeshError(f"edge {key} is shared by {len(hits)} > 2 triangles")
+    boundary_local_edges(mesh)
 
     heads = mesh.boundary_edges[:, 0]
     tails = mesh.boundary_edges[:, 1]
@@ -374,11 +393,7 @@ def read_mesh(path):
     if np.any(edges < 0) or np.any(edges >= len(vertices)):
         raise MeshError(f"mesh file {path}: boundary edge vertex index out of range")
 
-    incidence = {}
-    for t, tri in enumerate(triangles):
-        for l in range(3):
-            a, b = int(tri[l]), int(tri[(l + 1) % 3])
-            incidence.setdefault((min(a, b), max(a, b)), []).append(t)
+    incidence = _triangle_edge_set(triangles)
     tris = []
     for j, (a, b) in enumerate(edges):
         hits = incidence.get((min(int(a), int(b)), max(int(a), int(b))), [])

@@ -75,17 +75,15 @@ def _fix_signs(vectors, support):
 def solve_steklov_p1(mesh, k, operators=None):
     """The k smallest conforming P1 Steklov eigenvalues of the mesh.
 
-    operators may carry preassembled (stiffness, mass, boundary) pieces
-    to avoid reassembly; boundary is either the BoundaryOperators record
-    from assemble_boundary or the vertex boundary mass matrix itself.
+    operators may carry the preassembled (stiffness, mass,
+    vertex_boundary_mass) matrices to avoid reassembly.
     """
     if operators is None:
         stiffness, mass = assemble_p1(mesh)
-        boundary = assemble_boundary(mesh)
+        boundary_mass = assemble_boundary(mesh).vertex_boundary_mass
     else:
-        stiffness, mass, boundary = operators
-    boundary_mat = getattr(boundary, "vertex_boundary_mass", boundary)
-    result = general_sym_eig(stiffness + mass, boundary_mat, k=k, which="smallest")
+        stiffness, mass, boundary_mass = operators
+    result = general_sym_eig(stiffness + mass, boundary_mass, k=k, which="smallest")
     vectors = _fix_signs(result.vectors, result.support)
     return SteklovSpectrum(
         method="conforming",
@@ -116,15 +114,10 @@ def assemble_cr(mesh):
     grads = p1_gradients(mesh)
     s_loc = 4.0 * np.einsum("tie,tje->tij", grads, grads) * areas[:, None, None]
     s_loc = 0.5 * (s_loc + np.transpose(s_loc, (0, 2, 1)))
-    rows = np.repeat(edge_of, 3, axis=1).ravel()
-    cols = np.tile(edge_of, (1, 3)).ravel()
-    stiffness = scatter_csr([rows], [cols], [s_loc.ravel()], (ne, ne))
-    mass = scatter_csr(
-        [edge_of.ravel()],
-        [edge_of.ravel()],
-        [np.repeat(areas / 3.0, 3)],
-        (ne, ne),
-    )
+    rows = np.repeat(edge_of, 3, axis=1)
+    cols = np.tile(edge_of, (1, 3))
+    stiffness = scatter_csr(rows, cols, s_loc, (ne, ne))
+    mass = scatter_csr(edge_of, edge_of, np.repeat(areas / 3.0, 3), (ne, ne))
 
     # traces[j, p, i]: the CR basis function opposite local vertex i of
     # the triangle owning boundary edge j, at endpoint p of that edge;
@@ -139,10 +132,7 @@ def assemble_cr(mesh):
     )
     b_edges = edge_of[mesh.boundary_triangles]
     boundary_form = scatter_csr(
-        [np.repeat(b_edges, 3, axis=1).ravel()],
-        [np.tile(b_edges, (1, 3)).ravel()],
-        [blocks.ravel()],
-        (ne, ne),
+        np.repeat(b_edges, 3, axis=1), np.tile(b_edges, (1, 3)), blocks, (ne, ne)
     )
     return stiffness, mass, boundary_form, dofs
 

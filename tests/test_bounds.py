@@ -175,6 +175,18 @@ def test_corner_triangles_appear_once_per_edge():
     assert len(set(pairs)) == 4
 
 
+@pytest.mark.parametrize("edge", [(0, 8), (1, 0)])
+def test_boundary_element_edges_rejects_bad_boundary_edge(edge):
+    mesh = uniform_square_mesh(2)
+    edges = mesh.boundary_edges.copy()
+    edges[0] = edge
+    bad = Mesh(mesh.vertices, mesh.triangles, edges, mesh.boundary_triangles)
+    with pytest.raises(MeshError, match="boundary edge 0"):
+        boundary_element_edges(bad)
+    with pytest.raises(MeshError, match="boundary edge 0"):
+        trace_constant_bound(bad)
+
+
 # --- combination and the lower-bound map -------------------------------------
 
 

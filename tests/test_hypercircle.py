@@ -12,10 +12,6 @@ from steklov_certify.hypercircle import (
     EquilibrationSolver,
     IncompatibleDataError,
     NeumannSolution,
-    equilibration_error,
-    projection_error_constant,
-    solve_equilibrated_flux,
-    solve_neumann,
 )
 from steklov_certify.mesh import uniform_lshape_mesh, uniform_square_mesh
 
@@ -213,7 +209,7 @@ def test_constant_decreases_under_refinement():
     values = []
     for n in (2, 4, 8):
         system = assemble_system(uniform_square_mesh(n))
-        values.append(projection_error_constant(system).value)
+        values.append(EquilibrationSolver(system).constant().value)
     assert values[0] > values[1] > values[2]
 
 
@@ -228,7 +224,7 @@ def test_constant_frozen_values():
     ]
     for gen, n, frozen, published in cases:
         system = assemble_system(gen(n))
-        value = projection_error_constant(system).value
+        value = EquilibrationSolver(system).constant().value
         assert value == pytest.approx(frozen, rel=1e-9), (gen.__name__, n)
         if published is not None:
             assert abs(value - published) <= 2e-4, (gen.__name__, n)
@@ -252,13 +248,14 @@ def test_error_bound_dominates_reference_gap():
     coarse_mesh = uniform_square_mesh(2)
     coarse = assemble_system(coarse_mesh)
     g_coarse = project_boundary(coarse_mesh, f)
-    neumann = solve_neumann(coarse, g_coarse)
-    flux = solve_equilibrated_flux(coarse, g_coarse, neumann)
-    indicator = equilibration_error(coarse, neumann, flux)
+    solver = EquilibrationSolver(coarse)
+    neumann = solver.solve_neumann(g_coarse)
+    flux = solver.solve_flux(g_coarse, neumann)
+    indicator = solver.error_norm(neumann, flux)
 
     fine_mesh = uniform_square_mesh(16)
     fine = assemble_system(fine_mesh)
-    y_fine = solve_neumann(fine, project_boundary(fine_mesh, f)).coefficients
+    y_fine = EquilibrationSolver(fine).solve_neumann(project_boundary(fine_mesh, f)).coefficients
 
     interpolated = p1_point_values(coarse_mesh, neumann.coefficients, fine_mesh.vertices)
     diff = y_fine - interpolated

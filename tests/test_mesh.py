@@ -8,6 +8,7 @@ import pytest
 from steklov_certify.mesh import (
     Mesh,
     MeshError,
+    boundary_local_edges,
     element_geometry,
     read_mesh,
     uniform_lshape_mesh,
@@ -271,3 +272,24 @@ def test_unknown_domain_tag_rejected():
             mesh.boundary_triangles,
             domain="hexagon",
         )
+
+
+def test_boundary_local_edges_finds_each_edge_in_its_triangle():
+    for mesh in (uniform_square_mesh(3), uniform_lshape_mesh(2)):
+        local = boundary_local_edges(mesh)
+        owner = mesh.triangles[mesh.boundary_triangles]
+        rows = np.arange(mesh.num_boundary_edges)
+        assert np.array_equal(owner[rows, local], mesh.boundary_edges[:, 0])
+        assert np.array_equal(owner[rows, (local + 1) % 3], mesh.boundary_edges[:, 1])
+
+
+@pytest.mark.parametrize("edge", [(0, 8), (1, 0)])
+def test_boundary_local_edges_rejects_foreign_and_reversed_edges(edge):
+    """(0, 8) is no edge of the square n = 2 mesh; (1, 0) is its first
+    boundary edge run clockwise."""
+    mesh = uniform_square_mesh(2)
+    edges = mesh.boundary_edges.copy()
+    edges[0] = edge
+    bad = Mesh(mesh.vertices, mesh.triangles, edges, mesh.boundary_triangles)
+    with pytest.raises(MeshError, match="boundary edge 0"):
+        boundary_local_edges(bad)
