@@ -40,6 +40,7 @@ __all__ = [
     "assemble_boundary",
     "assemble_p1",
     "assemble_system",
+    "assemble_vertex_boundary_mass",
     "boundary_normals",
     "build_dof_maps",
     "edge_gauss_rule",
@@ -146,16 +147,28 @@ def _block_diagonal(blocks):
     return out
 
 
+def _edge_mass_blocks(mesh):
+    """The (nb, 2, 2) mass blocks of the boundary edges, in loop order."""
+    return mesh.boundary_edge_lengths()[:, None, None] * _EDGE_MASS_BLOCK
+
+
+def assemble_vertex_boundary_mass(mesh):
+    """The boundary form on the conforming space, (n, n) csr."""
+    n = mesh.num_vertices
+    edges = mesh.boundary_edges
+    return scatter_csr(
+        np.repeat(edges, 2, axis=1), np.tile(edges, (1, 2)), _edge_mass_blocks(mesh), (n, n)
+    )
+
+
 def assemble_boundary(mesh):
     n = mesh.num_vertices
     edges = mesh.boundary_edges
     slots = np.arange(2 * len(edges)).reshape(-1, 2)
-    blocks = mesh.boundary_edge_lengths()[:, None, None] * _EDGE_MASS_BLOCK
+    blocks = _edge_mass_blocks(mesh)
     coupling = np.zeros((n, 2 * len(edges)))
     coupling[edges[:, :, None], slots[:, None, :]] = blocks
-    vertex_boundary_mass = scatter_csr(
-        np.repeat(edges, 2, axis=1), np.tile(edges, (1, 2)), blocks, (n, n)
-    )
+    vertex_boundary_mass = assemble_vertex_boundary_mass(mesh)
     # where the loop runs against the global edge orientation, the
     # min-vertex dof reads the slot of b and the normal flips sign
     forward = (edges[:, 0] < edges[:, 1])[:, None, None]
@@ -230,7 +243,10 @@ class RTElements:
     The basis on element t is psi_d = sum_mu coeffs[t, mu, d] * m_mu where
     m_mu are the eight monomial fields (1,0), (xi,0), (eta,0), (0,1),
     (0,xi), (0,eta), (xi^2, xi*eta), (xi*eta, eta^2) in the local frame
-    xi = (x - centroid[t]) / scale[t].
+    xi = (x - centroid[t]) / scale[t].  mass[t] (8, 8) and div[t] (3, 8)
+    are the element flux mass matrix and the products of the three
+    broken hats with the basis divergences, in the local dof order of
+    gdofs[t].
     """
 
     gdofs: np.ndarray
@@ -238,6 +254,8 @@ class RTElements:
     centroids: np.ndarray
     scales: np.ndarray
     areas: np.ndarray
+    mass: np.ndarray
+    div: np.ndarray
 
 
 def _monomial_values(pts):
@@ -323,7 +341,7 @@ def assemble_rt1(mesh, dofs):
     div_coupling = scatter_csr(
         np.repeat(np.arange(3 * nt), 8), np.tile(gdofs, (1, 3)), div_elem, (3 * nt, p_total)
     )
-    elements = RTElements(gdofs, c, centroids, scales, areas)
+    elements = RTElements(gdofs, c, centroids, scales, areas, mass_elem, div_elem)
     return rt_mass, div_coupling, elements
 
 

@@ -15,10 +15,24 @@ over all unit boundary data, the worst value of |grad u - p| is an
 eigenvalue problem on the trace space; its square root is the projection
 error constant used by the certified eigenvalue bounds.
 
-The flux minimizes |grad u - p| subject to the divergence constraint,
-enforced with a broken-P1 Lagrange multiplier that is itself pinned to
-mean zero by one scalar unknown c.  For compatible data c vanishes, which
-the solver checks.
+The flux minimizes |grad u - p| subject to the divergence constraint
+div p = u - c, enforced with a broken-P1 Lagrange multiplier lam of mean
+zero.  For compatible data the scalar mean shift c vanishes, which the
+solver checks.
+
+The mixed system is solved by hybridization (Arnold & Brezzi 1985;
+Brezzi & Fortin 1991).  The flux is relaxed to a broken Raviart-Thomas
+field, and edge multipliers mu, one per RT edge dof, enforce normal
+continuity on interior edges and the data p.n = f on the boundary.
+Each element's 8 flux dofs and 3 broken multipliers are eliminated with
+one batched inverse of the (11, 11) local saddle matrices, which leaves
+a symmetric positive semidefinite system for mu.  Its kernel is one
+constant lam with the matching mu.  The compatibility condition that
+belongs to it fixes c in closed form, c = (int u - int f) / |Omega|,
+since the interior flux dofs carry no net divergence and the broken
+moments sum to |Omega|.  One boundary multiplier is pinned to zero, the
+remaining positive definite system is factored once, and the dropped
+equation is checked as the compatibility residual.
 """
 
 from __future__ import annotations
@@ -37,8 +51,9 @@ from .assembly import (
     p1_gradients,
     rt_divergence_vertex_values,
     rt_values_at_quadrature,
+    scatter_csr,
 )
-from .linalg import CholeskyFactor, LinearAlgebraError, SaddleFactor, general_sym_eig
+from .linalg import CholeskyFactor, LinearAlgebraError, general_sym_eig
 
 __all__ = [
     "EquilibrationSolver",
@@ -49,6 +64,8 @@ __all__ = [
 ]
 
 _ROUTE_TOL = 1e-9
+_RESIDUAL_TOL = 1e-10
+_BLOCK = 32  # right-hand sides per multiplier solve in constant()
 
 
 class IncompatibleDataError(ValueError):
@@ -88,7 +105,7 @@ class ProjectionConstant:
 
 
 class EquilibrationSolver:
-    """Factor the conforming and mixed systems of one mesh once.
+    """Factor the conforming and the hybridized flux systems of one mesh once.
 
     All solves against the same mesh share the two factorizations, which
     is what makes the s solves behind the projection constant and the
@@ -98,23 +115,101 @@ class EquilibrationSolver:
     def __init__(self, system: AssembledSystem):
         self.system = system
         self._p1 = CholeskyFactor(system.stiffness + system.mass)
-        dofs = system.dofs
-        w_col = sp.csc_matrix(system.broken_moments[:, None])
-        self._kkt = SaddleFactor(
-            sp.bmat(
-                [
-                    [system.rt_mass_ii, None, system.div_interior.T],
-                    [None, None, w_col.T],
-                    [system.div_interior, w_col, None],
-                ],
-                format="csc",
-            )
+        mesh, dofs, el = system.mesh, system.dofs, system.rt_elements
+        nt = mesh.num_triangles
+        s = dofs.dim_trace
+        n_edge = 2 * len(dofs.edges)
+        tris = mesh.triangles
+        # edge multiplier 2e + k belongs to the RT dof k of edge e; sign is
+        # +1 where the global edge normal is the element's outward normal
+        edge_dof = (2 * dofs.tri_edges[:, :, None] + np.arange(2)).reshape(nt, 6)
+        sign = np.repeat(np.where(tris < np.roll(tris, -1, axis=1), 1.0, -1.0), 2, axis=1)
+        broken = np.arange(3 * nt).reshape(nt, 3)
+
+        local = np.zeros((nt, 11, 11))
+        local[:, :8, :8] = el.mass
+        local[:, :8, 8:] = np.swapaxes(el.div, 1, 2)
+        local[:, 8:, :8] = el.div
+        inv = np.linalg.inv(local)
+        edge_block = inv[:, :6, :6] * sign[:, :, None] * sign[:, None, :]
+        schur = scatter_csr(
+            np.repeat(edge_dof, 6, axis=1),
+            np.tile(edge_dof, (1, 6)),
+            0.5 * (edge_block + np.swapaxes(edge_block, 1, 2)),
+            (n_edge, n_edge),
         )
-        self._p_int = dofs.dim_rt_interior
+        # edge right-hand side per element load; its negated transpose
+        # gives the broken multiplier per edge multiplier
+        self._load_to_edge = scatter_csr(
+            np.broadcast_to(edge_dof[:, :, None], (nt, 6, 3)),
+            np.broadcast_to(broken[:, None, :], (nt, 6, 3)),
+            sign[:, :, None] * inv[:, :6, 8:],
+            (n_edge, 3 * nt),
+        )
+        self._lam_of_load = scatter_csr(
+            np.repeat(broken, 3, axis=1), np.tile(broken, (1, 3)), inv[:, 8:, 8:], (3 * nt, 3 * nt)
+        )
+        self._flux_of_edge = -inv[:, :8, :6] * sign[:, None, :]
+        self._flux_of_load = inv[:, :8, 8:]
+        self._edge_dof = edge_dof
+        self._dof_count = np.bincount(el.gdofs.ravel(), minlength=dofs.dim_rt_interior + s)
+
+        # outward normal traces of the boundary edges, as a signed
+        # permutation of the trace slots
+        boundary_dof = (2 * dofs.boundary_edge_index[:, None] + np.arange(2)).ravel()
+        loop = mesh.boundary_edges
+        outward = np.repeat(np.where(loop[:, 0] < loop[:, 1], 1.0, -1.0), 2)
+        trace = sp.coo_matrix(outward[:, None] * system.trace_map)
+        self._trace_to_edge = sp.csr_matrix(
+            (trace.data, (boundary_dof[trace.row], trace.col)), shape=(n_edge, s)
+        )
+
+        # the constant broken multiplier spans the kernel: pin one edge
+        # multiplier and keep its equation as a check.  The pin sits on
+        # the interior edge nearest the vertex centroid; a boundary pin
+        # left residuals near the solve tolerance (7e-11 at square n = 64,
+        # against 4e-14 here), growing fourfold per refinement
+        mids = mesh.vertices[dofs.edges].mean(axis=1)
+        depth = np.linalg.norm(mids - mesh.vertices.mean(axis=0), axis=1)
+        self._pin = 2 * int(np.argmin(np.where(dofs.edge_is_boundary, np.inf, depth)))
+        self._free = np.delete(np.arange(n_edge), self._pin)
+        self._pin_row = schur[self._pin]
+        self._edges = CholeskyFactor(schur[self._free][:, self._free])
+        self._area = float(system.broken_moments.sum())
+
+    def _trace_data(self, data):
+        g = coefficients_of(data)
+        s = self.system.dofs.dim_trace
+        if g.shape != (s,):
+            raise IncompatibleDataError(
+                f"boundary data has shape {g.shape}, expected length {s} (the trace dofs)"
+            )
+        return g
+
+    def _multipliers(self, loads, traces):
+        """Broken multipliers lam (3 nt, k) and edge multipliers mu
+        (n_edge, k) of the hybridized flux system, for element loads
+        (3 nt, k), the products of the broken hats with u - c, and
+        outward normal traces (n_edge, k) on the boundary edges.
+
+        Raises LinearAlgebraError when the dropped equation of the
+        pinned multiplier is violated, i.e. when the mean shift inside
+        the loads does not make the data compatible.
+        """
+        rhs = self._load_to_edge @ loads - traces
+        mu = np.zeros(rhs.shape)
+        mu[self._free] = self._edges.solve(rhs[self._free])
+        dropped = np.abs(self._pin_row @ mu - rhs[self._pin]).ravel()
+        scale = np.linalg.norm(rhs, axis=0)
+        if not np.all(dropped <= _RESIDUAL_TOL * scale):
+            worst = float(np.max(dropped / np.maximum(scale, np.finfo(float).tiny)))
+            raise LinearAlgebraError(f"flux compatibility residual {worst:.3e}")
+        lam = self._lam_of_load @ loads - self._load_to_edge.T @ mu
+        return lam, mu
 
     def solve_neumann(self, data):
         """Conforming solution for trace-space boundary data."""
-        g = coefficients_of(data)
+        g = self._trace_data(data)
         y = self._p1.solve(self.system.boundary_coupling @ g)
         return NeumannSolution(y)
 
@@ -123,11 +218,15 @@ class EquilibrationSolver:
 
         Raises IncompatibleDataError when the data fails the solvability
         check (the volume integral of the solution must equal the
-        boundary integral of the data).
+        boundary integral of the data) or has the wrong length.
         """
         sysm = self.system
-        g = coefficients_of(data)
-        y = neumann.coefficients
+        g = self._trace_data(data)
+        y = np.asarray(neumann.coefficients, dtype=float)
+        if y.shape != (sysm.dofs.dim_p1,):
+            raise IncompatibleDataError(
+                f"Neumann solution has shape {y.shape}, expected length {sysm.dofs.dim_p1}"
+            )
         volume = float(np.sum(sysm.mass @ y))
         surface = sysm.boundary_integral(g)
         scale = max(abs(volume), abs(surface), 1.0)
@@ -135,17 +234,21 @@ class EquilibrationSolver:
             raise IncompatibleDataError(
                 f"compatibility residual {abs(volume - surface):.3e} for data scale {scale:.3e}"
             )
-        x_bnd = sysm.trace_map @ g
-        rhs = np.concatenate(
-            [
-                -(sysm.rt_mass_ib @ x_bnd),
-                [0.0],
-                sysm.broken_coupling @ y - sysm.div_boundary @ x_bnd,
-            ]
+        shift = (volume - surface) / self._area
+        loads = sysm.broken_coupling @ y - shift * sysm.broken_moments
+        lam, mu = self._multipliers(loads[:, None], self._trace_to_edge @ g[:, None])
+        flux = (
+            self._flux_of_edge @ mu[self._edge_dof]
+            + self._flux_of_load @ loads.reshape(-1, 3, 1)
         )
-        sol = self._kkt.solve(rhs)
-        x = np.concatenate([sol[: self._p_int], x_bnd])
-        return FluxSolution(x, sol[self._p_int + 1 :], float(sol[self._p_int]))
+        # interior edge dofs: the mean of the two elements' equal values
+        x = np.bincount(
+            sysm.rt_elements.gdofs.ravel(), flux.ravel(), minlength=self._dof_count.size
+        ) / self._dof_count
+        x[sysm.dofs.dim_rt_interior :] = sysm.trace_map @ g
+        lam = lam[:, 0]
+        lam -= (sysm.broken_moments @ lam) / self._area
+        return FluxSolution(x, lam, float(shift))
 
     def error_norm(self, neumann, flux, check_routes=True):
         """The guaranteed error quantity |grad u - p|.
@@ -157,7 +260,7 @@ class EquilibrationSolver:
         sysm = self.system
         y = neumann.coefficients
         x = flux.coefficients
-        g = sysm.trace_map.T @ x[self._p_int :]
+        g = sysm.trace_map.T @ x[sysm.dofs.dim_rt_interior :]
         volume_integral = float(np.sum(sysm.mass @ y))
         closed = (
             -float(g @ (sysm.boundary_coupling.T @ y))
@@ -181,30 +284,31 @@ class EquilibrationSolver:
         Solves the conforming and flux problems for every trace basis
         vector, assembles the error quadratic form B on the trace space
         and takes the largest eigenvalue of B against the trace Gram
-        matrix.
+        matrix.  The flux systems run in blocks of _BLOCK columns, and
+        the flux energy x_i^T M x_j is read off the multipliers of
+        column j as -loads_i^T lam_j - traces_i^T mu_j.
         """
         sysm = self.system
         s = sysm.dofs.dim_trace
         y_all = self._p1.solve(sysm.boundary_coupling)
-        x_bnd = sysm.trace_map
-        rhs = np.vstack(
-            [
-                -(sysm.rt_mass_ib @ x_bnd),
-                np.zeros((1, s)),
-                sysm.broken_coupling @ y_all - sysm.div_boundary @ x_bnd,
-            ]
-        )
-        sol = self._kkt.solve(rhs)
-        x_all = np.vstack([sol[: self._p_int], x_bnd])
-        shifts = sol[self._p_int]
-        volume_integrals = y_all.T @ (sysm.mass @ np.ones(sysm.dofs.dim_p1))
+        volumes = y_all.T @ (sysm.mass @ np.ones(sysm.dofs.dim_p1))
+        shifts = (volumes - sysm.boundary_mass.sum(axis=0)) / self._area
         quad = (
             -sysm.boundary_coupling.T @ y_all
             + y_all.T @ (sysm.mass @ y_all)
-            + x_all.T @ (sysm.rt_mass @ x_all)
-            - np.outer(volume_integrals, shifts)
-            - np.outer(shifts, volume_integrals)
+            - np.outer(volumes, shifts)
+            - np.outer(shifts, volumes)
         )
+        w = sysm.broken_moments
+        for start in range(0, s, _BLOCK):
+            cols = slice(start, min(start + _BLOCK, s))
+            loads = sysm.broken_coupling @ y_all[:, cols] - np.outer(w, shifts[cols])
+            lam, mu = self._multipliers(loads, self._trace_to_edge[:, cols].toarray())
+            quad[:, cols] -= (
+                y_all.T @ (sysm.broken_coupling.T @ lam)
+                - np.outer(shifts, w @ lam)
+                + self._trace_to_edge.T @ mu
+            )
         norm = np.linalg.norm(quad)
         asym = np.linalg.norm(quad - quad.T)
         if norm > 0 and asym > 1e-8 * norm:

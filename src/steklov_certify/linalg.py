@@ -8,14 +8,18 @@ with a Schur complement of A and solves the reduced reciprocal problem
 B* w = mu A* w, so the finite eigenvalues are returned exactly once and
 with B-orthonormal eigenvectors.
 
-Factorizations are deterministic sparse direct methods: a symmetric
-SuperLU factor for the positive definite systems (the conforming matrix
-and the interior block of every eigen pencil) and a pivoted sparse LU
-for the mixed saddle systems.  The only dense matrices are the Schur
-complement on the support of B, whose size is the number of boundary
-dofs, and the solution block of its |support| right-hand sides; LAPACK
-eigh runs on the former.  Solutions are verified against a residual
-tolerance and rejected loudly rather than returned silently wrong.
+Factorizations are deterministic sparse direct methods.  A symmetric
+SuperLU factor serves every positive definite system: the conforming
+matrix, the hybridized edge-multiplier system of the flux equilibration
+and the interior block of every eigen pencil.  SaddleFactor, a pivoted
+sparse LU of a symmetric indefinite matrix, is not used by the
+certification pipeline; it solves the unhybridized flux KKT system that
+the test suite keeps as an oracle, and perfbench traces it.  The only
+dense matrices are the Schur complement on the support of B, whose size
+is the number of boundary dofs, and the solution block of its |support|
+right-hand sides; LAPACK eigh runs on the former.  Solutions are
+verified against a residual tolerance and rejected loudly rather than
+returned silently wrong.
 """
 
 from __future__ import annotations

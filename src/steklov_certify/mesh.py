@@ -287,16 +287,20 @@ def _triangle_edge_set(triangles):
 def validate_mesh(mesh):
     """Check all structural invariants; raise MeshError naming the offender.
 
-    Verified: index ranges, positive orientation, conforming edge incidence
-    (interior edges in exactly two triangles, boundary edges in exactly
-    one, matching the recorded adjacent triangle and its orientation), and
-    a single counterclockwise boundary loop.
+    Verified: finite coordinates, index ranges, positive orientation,
+    conforming edge incidence (interior edges in exactly two triangles,
+    boundary edges in exactly one, matching the recorded adjacent
+    triangle and its orientation), and a single counterclockwise
+    boundary loop.
     """
     nv = mesh.num_vertices
     if nv == 0 or mesh.num_triangles == 0:
         raise MeshError("mesh has no vertices or no triangles")
     if mesh.vertices.ndim != 2 or mesh.vertices.shape[1] != 2:
         raise MeshError("vertices must be an (nv, 2) array")
+    bad = np.nonzero(~np.isfinite(mesh.vertices).all(axis=1))[0]
+    if bad.size:
+        raise MeshError(f"vertex {bad[0]} has non-finite coordinates {mesh.vertices[bad[0]]}")
     if mesh.triangles.min(initial=0) < 0 or mesh.triangles.max(initial=-1) >= nv:
         raise MeshError("triangle vertex index out of range")
     if mesh.boundary_edges.min(initial=0) < 0 or mesh.boundary_edges.max(initial=-1) >= nv:

@@ -2,13 +2,19 @@
 
 Everything here is written from first principles and avoids the package's
 assembly and solver code paths, so agreement between the two sides is
-evidence of correctness rather than a tautology.
+evidence of correctness rather than a tautology.  The one exception is
+the flux oracle at the end: it takes the assembled matrices and solves
+the unhybridized KKT system with a pivoted sparse LU, a route the
+package's hybridized EquilibrationSolver does not share.
 """
 
 import math
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+
+from steklov_certify.linalg import SaddleFactor
 
 # Seven-point symmetric triangle rule, exact for degree 5 (distinct from
 # the package's six-point degree-4 rule).  Barycentric points and weights
@@ -190,3 +196,80 @@ def p1_point_values(mesh, coeffs, points, tol=1e-12):
         bary = np.array([lam0[t], lam1[t], lam2[t]])
         out[i] = bary @ coeffs[tris[t]]
     return out
+
+
+def kkt_matrix(system, basis=None):
+    """The flux saddle matrix of the unhybridized mixed method, csc.
+
+    Unknowns are the interior flux dofs x_i, the mean shift c and the
+    broken-P1 multiplier lam:
+
+        [ M_ii  0    D_i^T ] [x_i]
+        [ 0     0    w^T   ] [c  ]
+        [ D_i   w    0     ] [lam]
+
+    basis, a (p_int, p_int) matrix T, rewrites the system for the
+    interior flux basis transformed by x_i = T z.
+    """
+    m_ii, d_i = system.rt_mass_ii, system.div_interior
+    if basis is not None:
+        m_ii = basis.T @ (m_ii @ basis)
+        d_i = d_i @ basis
+    w = system.broken_moments
+    return sp.bmat(
+        [
+            [sp.csc_matrix(m_ii), None, sp.csc_matrix(d_i).T],
+            [None, None, sp.csc_matrix(w[None, :])],
+            [sp.csc_matrix(d_i), sp.csc_matrix(w[:, None]), None],
+        ],
+        format="csc",
+    )
+
+
+def _kkt_solve(system, g, y, basis=None):
+    """Flux coefficients (p, k), shifts (k,) and multipliers (m, k) of
+    the KKT system by a pivoted sparse LU, for trace data g (s, k) and
+    Neumann solutions y (n, k)."""
+    p_int = system.dofs.dim_rt_interior
+    x_bnd = system.trace_map @ g
+    m_ib = system.rt_mass_ib.toarray()
+    if basis is not None:
+        m_ib = basis.T @ m_ib
+    rhs = np.vstack(
+        [
+            -(m_ib @ x_bnd),
+            np.zeros((1, g.shape[1])),
+            system.broken_coupling @ y - system.div_boundary @ x_bnd,
+        ]
+    )
+    sol = SaddleFactor(kkt_matrix(system, basis)).solve(rhs)
+    x_int = sol[:p_int] if basis is None else basis @ sol[:p_int]
+    return np.vstack([x_int, x_bnd]), sol[p_int], sol[p_int + 1 :]
+
+
+def kkt_flux(system, g, y):
+    """(flux coefficients, multipliers, mean shift) of one datum."""
+    x, c, lam = _kkt_solve(system, np.asarray(g)[:, None], np.asarray(y)[:, None])
+    return x[:, 0], lam[:, 0], float(c[0])
+
+
+def kkt_constant(system, basis=None):
+    """Projection error constant through the KKT system: the s-column
+    solve, the error quadratic form, and its top eigenvalue against the
+    trace Gram matrix by explicit Cholesky reduction."""
+    y_all = np.linalg.solve((system.stiffness + system.mass).toarray(), system.boundary_coupling)
+    s = system.dofs.dim_trace
+    x_all, shifts, _ = _kkt_solve(system, np.eye(s), y_all, basis)
+    volumes = y_all.T @ (system.mass @ np.ones(system.dofs.dim_p1))
+    quad = (
+        -system.boundary_coupling.T @ y_all
+        + y_all.T @ (system.mass @ y_all)
+        + x_all.T @ (system.rt_mass @ x_all)
+        - np.outer(volumes, shifts)
+        - np.outer(shifts, volumes)
+    )
+    quad = 0.5 * (quad + quad.T)
+    l = np.linalg.cholesky(system.boundary_mass)
+    reduced = np.linalg.solve(l, np.linalg.solve(l, quad).T)
+    top = np.linalg.eigvalsh(0.5 * (reduced + reduced.T)).max()
+    return float(np.sqrt(max(top, 0.0)))

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from steklov_certify.assembly import (
     assemble_boundary,
@@ -26,7 +25,7 @@ from steklov_certify.mesh import uniform_lshape_mesh, uniform_square_mesh
 from steklov_certify.steklov import assemble_cr, solve_steklov_cr, solve_steklov_p1
 
 from conftest import ACCEPTANCE_RESULTS
-from oracles import dense_pencil_eigenvalues, h1_distance_to_function
+from oracles import dense_pencil_eigenvalues, h1_distance_to_function, kkt_flux, kkt_matrix
 
 REF_SQUARE = [0.240079, 1.49230, 1.49230]
 REF_LSHAPE = [0.3414160, 0.6168667, 0.9842784]
@@ -461,14 +460,7 @@ def test_criterion_8_small_problem_cross_checks():
         )
 
         system = assemble_system(mesh)
-        kkt = sp.bmat(
-            [
-                [system.rt_mass_ii, None, system.div_interior.T],
-                [None, None, system.broken_moments[None, :]],
-                [system.div_interior, system.broken_moments[:, None], None],
-            ],
-            format="csc",
-        )
+        kkt = kkt_matrix(system)
         factor = SaddleFactor(kkt)
         dense = kkt.toarray()
         worst = 0.0
@@ -484,5 +476,15 @@ def test_criterion_8_small_problem_cross_checks():
             )
         checks.append(
             (f"flux saddle {tag}", worst <= 1e-10, f"max rel deviation {worst:.2e}")
+        )
+
+        solver = EquilibrationSolver(system)
+        g = rng.standard_normal(system.dofs.dim_trace)
+        neumann = solver.solve_neumann(g)
+        flux = solver.solve_flux(g, neumann)
+        x, _, _ = kkt_flux(system, g, neumann.coefficients)
+        rel = float(np.linalg.norm(flux.coefficients - x) / np.linalg.norm(x))
+        checks.append(
+            (f"hybrid flux {tag}", rel <= 1e-10, f"rel deviation from KKT {rel:.2e}")
         )
     _register(8, "small-problem solver cross-checks", checks)

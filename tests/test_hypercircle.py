@@ -1,5 +1,7 @@
 """Equilibrated flux, guaranteed error quantity and projection constant."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,10 @@ from steklov_certify.hypercircle import (
     IncompatibleDataError,
     NeumannSolution,
 )
+from steklov_certify.linalg import LinearAlgebraError
 from steklov_certify.mesh import uniform_lshape_mesh, uniform_square_mesh
 
-from oracles import p1_point_values
+from oracles import kkt_constant, kkt_flux, p1_point_values
 
 
 @pytest.fixture(scope="module")
@@ -154,55 +157,103 @@ def test_quad_form_is_positive_semidefinite(solver_square2):
 
 
 def test_constant_invariant_under_interior_basis_change(system_square2, rng):
-    """A dense re-run of the whole pipeline in a randomly transformed
-    interior flux basis reproduces the constant (it is a property of the
-    spaces, not of the chosen basis)."""
+    """The KKT route re-run in a randomly transformed interior flux basis
+    reproduces the constant (it is a property of the spaces, not of the
+    chosen basis)."""
     sysm = system_square2
     p_int = sysm.dofs.dim_rt_interior
     t = rng.standard_normal((p_int, p_int))
     t += p_int * np.eye(p_int)
-    q_ii = t.T @ sysm.rt_mass_ii.toarray() @ t
-    q_ib = t.T @ sysm.rt_mass_ib.toarray()
-    n_i = sysm.div_interior.toarray() @ t
-    n_b = sysm.div_boundary.toarray()
-    w = sysm.broken_moments
-    m = sysm.dofs.dim_broken
-    kkt = np.block(
-        [
-            [q_ii, np.zeros((p_int, 1)), n_i.T],
-            [np.zeros((1, p_int)), np.zeros((1, 1)), w[None, :]],
-            [n_i, w[:, None], np.zeros((m, m))],
-        ]
-    )
-    s = sysm.dofs.dim_trace
-    y_all = np.linalg.solve((sysm.stiffness + sysm.mass).toarray(), sysm.boundary_coupling)
-    x_bnd = sysm.trace_map
-    rhs = np.vstack(
-        [
-            -(q_ib @ x_bnd),
-            np.zeros((1, s)),
-            sysm.broken_coupling @ y_all - n_b @ x_bnd,
-        ]
-    )
-    sol = np.linalg.solve(kkt, rhs)
-    x_all = np.vstack([t @ sol[:p_int], x_bnd])
-    shifts = sol[p_int]
-    volumes = y_all.T @ (sysm.mass @ np.ones(sysm.dofs.dim_p1))
-    quad = (
-        -sysm.boundary_coupling.T @ y_all
-        + y_all.T @ (sysm.mass @ y_all)
-        + x_all.T @ (sysm.rt_mass.toarray() @ x_all)
-        - np.outer(volumes, shifts)
-        - np.outer(shifts, volumes)
-    )
-    quad = 0.5 * (quad + quad.T)
-    # generalized eigenvalue by explicit Cholesky reduction: G is SPD
-    l = np.linalg.cholesky(sysm.boundary_mass)
-    reduced = np.linalg.solve(l, np.linalg.solve(l, quad).T)
-    top = np.linalg.eigvalsh(0.5 * (reduced + reduced.T)).max()
-    value = float(np.sqrt(max(top, 0.0)))
+    value = kkt_constant(sysm, basis=t)
     expected = EquilibrationSolver(sysm).constant().value
     assert value == pytest.approx(expected, rel=1e-9)
+
+
+# --- the hybridized solver against the KKT route ----------------------------
+
+
+@pytest.mark.parametrize("gen", [uniform_square_mesh, uniform_lshape_mesh])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_constant_matches_kkt_route(gen, n):
+    system = assemble_system(gen(n))
+    value = EquilibrationSolver(system).constant().value
+    assert value == pytest.approx(kkt_constant(system), rel=1e-10)
+
+
+@pytest.mark.parametrize("gen,n", [(uniform_square_mesh, 8), (uniform_lshape_mesh, 4)])
+def test_flux_matches_kkt_route(gen, n, rng):
+    """Flux coefficients, broken multipliers and mean shift of seeded data
+    agree with the unhybridized KKT solve."""
+    system = assemble_system(gen(n))
+    solver = EquilibrationSolver(system)
+    for _ in range(3):
+        g = rng.standard_normal(system.dofs.dim_trace)
+        neumann = solver.solve_neumann(g)
+        flux = solver.solve_flux(g, neumann)
+        x, lam, shift = kkt_flux(system, g, neumann.coefficients)
+        assert np.abs(flux.coefficients - x).max() <= 1e-12 * np.abs(x).max()
+        assert np.abs(flux.multipliers - lam).max() <= 1e-12 * np.abs(lam).max()
+        assert abs(flux.mean_shift - shift) <= 1e-13
+
+
+def test_perturbed_mean_shift_is_rejected(system_square4, rng):
+    """The equation dropped by pinning one edge multiplier holds only for
+    the compatible mean shift; a shifted right-hand side must be caught
+    by its residual check, not solved."""
+    sysm = system_square4
+    solver = EquilibrationSolver(sysm)
+    g = rng.standard_normal(sysm.dofs.dim_trace)
+    neumann = solver.solve_neumann(g)
+    shift = solver.solve_flux(g, neumann).mean_shift
+    traces = solver._trace_to_edge @ g[:, None]
+
+    def loads(c):
+        return (sysm.broken_coupling @ neumann.coefficients - c * sysm.broken_moments)[:, None]
+
+    solver._multipliers(loads(shift), traces)
+    with pytest.raises(LinearAlgebraError, match="compatibility residual"):
+        solver._multipliers(loads(shift + 1e-6), traces)
+
+
+def test_pinned_edge_system_residual_near_roundoff():
+    """Every kappa column solves the pinned edge-multiplier system to a
+    relative residual near roundoff.  Pinning a boundary multiplier
+    instead gives 1.4e-11 at square n = 32, growing about fourfold per
+    refinement towards the 1e-10 check of CholeskyFactor."""
+    sysm = assemble_system(uniform_square_mesh(32))
+    solver = EquilibrationSolver(sysm)
+    y_all = np.linalg.solve((sysm.stiffness + sysm.mass).toarray(), sysm.boundary_coupling)
+    rhs = solver._load_to_edge @ (sysm.broken_coupling @ y_all) - solver._trace_to_edge.toarray()
+    rhs = rhs[solver._free]
+    x = solver._edges.solve(rhs)
+    residual = np.linalg.norm(solver._edges._a @ x - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
+    assert residual.max() < 1e-12
+
+
+def test_constant_memory_peak_square32():
+    """constant() keeps no (rows x s) array alive: its traced peak at
+    square n = 32 stays below 64 MB (the KKT route needed 129 MB)."""
+    solver = EquilibrationSolver(assemble_system(uniform_square_mesh(32)))
+    tracemalloc.start()
+    try:
+        solver.constant()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+@pytest.mark.parametrize("length", [0, 7, 17])
+def test_wrong_length_data_is_rejected(solver_square2, length):
+    """Square n = 2 has 16 trace dofs and 9 vertices."""
+    with pytest.raises(IncompatibleDataError, match=f"shape \\({length},\\), expected length 16"):
+        solver_square2.solve_neumann(np.ones(length))
+    g = np.ones(16)
+    neumann = solver_square2.solve_neumann(g)
+    with pytest.raises(IncompatibleDataError, match="expected length 16"):
+        solver_square2.solve_flux(np.ones(length), neumann)
+    with pytest.raises(IncompatibleDataError, match="expected length 9"):
+        solver_square2.solve_flux(g, NeumannSolution(np.ones(length)))
 
 
 def test_constant_decreases_under_refinement():

@@ -15,7 +15,7 @@ from steklov_certify.linalg import (
 )
 from steklov_certify.mesh import uniform_square_mesh
 
-from oracles import dense_pencil_eigenvalues
+from oracles import dense_pencil_eigenvalues, kkt_matrix
 
 
 # --- SPD solves ---------------------------------------------------------
@@ -107,15 +107,7 @@ def test_saddle_matches_dense_oracle_on_equilibration_system(rng):
     system = assemble_system(uniform_square_mesh(1))
     p_int = system.dofs.dim_rt_interior
     m_broken = system.dofs.dim_broken
-    w = system.broken_moments
-    kkt = sp.bmat(
-        [
-            [system.rt_mass_ii, None, system.div_interior.T],
-            [None, None, w[None, :]],
-            [system.div_interior, w[:, None], None],
-        ],
-        format="csc",
-    )
+    kkt = kkt_matrix(system)
     factor = SaddleFactor(kkt)
     dense = kkt.toarray()
     assert np.linalg.matrix_rank(dense) == dense.shape[0]

@@ -262,6 +262,18 @@ def test_validate_rejects_missing_boundary_edge():
         validate_mesh(bad)
 
 
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+def test_validate_rejects_non_finite_vertex(bad_value):
+    """A NaN or inf coordinate slips past the signed-area test (NaN <= 0
+    is False), so it needs its own check."""
+    mesh = uniform_square_mesh(4)
+    vertices = mesh.vertices.copy()
+    vertices[7, 1] = bad_value
+    bad = Mesh(vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_triangles)
+    with pytest.raises(MeshError, match="vertex 7 has non-finite coordinates"):
+        validate_mesh(bad)
+
+
 def test_unknown_domain_tag_rejected():
     mesh = uniform_square_mesh(1)
     with pytest.raises(MeshError):

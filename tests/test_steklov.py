@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from steklov_certify.assembly import assemble_boundary, assemble_p1
+from steklov_certify.assembly import (
+    assemble_boundary,
+    assemble_p1,
+    assemble_vertex_boundary_mass,
+)
 from steklov_certify.mesh import uniform_lshape_mesh, uniform_square_mesh
 from steklov_certify.steklov import (
     assemble_cr,
@@ -191,6 +195,23 @@ def test_operators_paths_agree(square4):
     with_matrix = solve_steklov_p1(
         square4, 3, operators=(stiffness, mass, boundary.vertex_boundary_mass)
     )
+    assert np.array_equal(default.values, with_matrix.values)
+    assert np.array_equal(default.vectors, with_matrix.vectors)
+
+
+@pytest.mark.parametrize("gen", [uniform_square_mesh, uniform_lshape_mesh])
+def test_default_path_boundary_form_matches_record(gen):
+    """The default path of solve_steklov_p1 assembles the boundary form
+    alone; it equals the assemble_boundary record bit for bit, and so
+    does the spectrum of both paths."""
+    mesh = gen(4)
+    stiffness, mass = assemble_p1(mesh)
+    record = assemble_boundary(mesh).vertex_boundary_mass
+    alone = assemble_vertex_boundary_mass(mesh)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(alone, name), getattr(record, name))
+    default = solve_steklov_p1(mesh, 3)
+    with_matrix = solve_steklov_p1(mesh, 3, operators=(stiffness, mass, record))
     assert np.array_equal(default.values, with_matrix.values)
     assert np.array_equal(default.vectors, with_matrix.vectors)
 
