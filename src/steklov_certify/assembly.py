@@ -8,11 +8,12 @@ boundary edge in loop order (slot 2j = value at the loop-start vertex of
 edge j, slot 2j+1 = value at its loop-end vertex).
 
 Raviart-Thomas dofs are, per edge, the two endpoint values of the normal
-trace (normal oriented by the global min -> max vertex convention) and,
-per triangle, the two componentwise mean values of the field.  Interior
-dofs (edge dofs of interior edges plus all triangle dofs) are numbered
-first, boundary edge dofs last in boundary-loop order, so the normal trace
-on the boundary is a signed permutation of the trace-space slots.
+trace (normal oriented by the global min -> max vertex convention, which
+DofMaps.tri_edge_sign records per triangle edge) and, per triangle, the
+two componentwise mean values of the field.  Interior dofs (edge dofs of
+interior edges plus all triangle dofs) are numbered first, boundary edge
+dofs last in boundary-loop order, so the normal trace on the boundary is
+a signed permutation of the trace-space slots.
 
 All assembled integrands are polynomials of degree at most four; the
 six-point triangle rule below is exact for them.  Element matrices are
@@ -40,7 +41,6 @@ __all__ = [
     "assemble_boundary",
     "assemble_p1",
     "assemble_system",
-    "assemble_vertex_boundary_mass",
     "boundary_normals",
     "build_dof_maps",
     "edge_gauss_rule",
@@ -121,60 +121,50 @@ def boundary_normals(mesh):
     return np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
 
 
+def _orientation(a, b):
+    """+1 where edge a -> b runs from the min to the max global vertex."""
+    return np.where(a < b, 1.0, -1.0)
+
+
 @dataclass(frozen=True)
 class BoundaryOperators:
-    """Boundary forms of the conforming space against the trace space.
+    """Boundary forms of the conforming space against the trace space,
+    each a csr matrix.
 
-    boundary_coupling : (n, s) products of vertex hats with trace slots.
+    boundary_coupling : (n, s) products of vertex hats with trace slots,
+        two nonzeros per column.
     boundary_mass : (s, s) Gram matrix of the trace space (2x2 blocks).
-    vertex_boundary_mass : (n, n) csr, the boundary form on the conforming
+    vertex_boundary_mass : (n, n) the boundary form on the conforming
         space itself.
     trace_map : (s, s) signed permutation sending trace-slot coefficients
         to boundary Raviart-Thomas dofs (normal-trace endpoint values).
     """
 
-    boundary_coupling: np.ndarray
-    boundary_mass: np.ndarray
+    boundary_coupling: sp.csr_matrix
+    boundary_mass: sp.csr_matrix
     vertex_boundary_mass: sp.csr_matrix
-    trace_map: np.ndarray
-
-
-def _block_diagonal(blocks):
-    """Dense (2 nb, 2 nb) matrix with the (nb, 2, 2) blocks on its diagonal."""
-    slots = np.arange(2 * len(blocks)).reshape(-1, 2)
-    out = np.zeros((2 * len(blocks), 2 * len(blocks)))
-    out[slots[:, :, None], slots[:, None, :]] = blocks
-    return out
-
-
-def _edge_mass_blocks(mesh):
-    """The (nb, 2, 2) mass blocks of the boundary edges, in loop order."""
-    return mesh.boundary_edge_lengths()[:, None, None] * _EDGE_MASS_BLOCK
-
-
-def assemble_vertex_boundary_mass(mesh):
-    """The boundary form on the conforming space, (n, n) csr."""
-    n = mesh.num_vertices
-    edges = mesh.boundary_edges
-    return scatter_csr(
-        np.repeat(edges, 2, axis=1), np.tile(edges, (1, 2)), _edge_mass_blocks(mesh), (n, n)
-    )
+    trace_map: sp.csr_matrix
 
 
 def assemble_boundary(mesh):
     n = mesh.num_vertices
     edges = mesh.boundary_edges
-    slots = np.arange(2 * len(edges)).reshape(-1, 2)
-    blocks = _edge_mass_blocks(mesh)
-    coupling = np.zeros((n, 2 * len(edges)))
-    coupling[edges[:, :, None], slots[:, None, :]] = blocks
-    vertex_boundary_mass = assemble_vertex_boundary_mass(mesh)
+    s = 2 * len(edges)
+    slots = np.arange(s).reshape(-1, 2)
+    blocks = mesh.boundary_edge_lengths()[:, None, None] * _EDGE_MASS_BLOCK
+
+    def block_scatter(rows, cols, shape):
+        return scatter_csr(np.repeat(rows, 2, axis=1), np.tile(cols, (1, 2)), blocks, shape)
+
     # where the loop runs against the global edge orientation, the
     # min-vertex dof reads the slot of b and the normal flips sign
-    forward = (edges[:, 0] < edges[:, 1])[:, None, None]
-    signs = np.where(forward, np.eye(2), np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    forward = _orientation(edges[:, 0], edges[:, 1])
+    read = np.where(forward[:, None] > 0, slots, slots[:, ::-1])
     return BoundaryOperators(
-        coupling, _block_diagonal(blocks), vertex_boundary_mass, _block_diagonal(signs)
+        boundary_coupling=block_scatter(edges, slots, (n, s)),
+        boundary_mass=block_scatter(slots, slots, (s, s)),
+        vertex_boundary_mass=block_scatter(edges, edges, (n, n)),
+        trace_map=scatter_csr(slots, read, np.repeat(forward, 2), (s, s)),
     )
 
 
@@ -185,7 +175,9 @@ class DofMaps:
     The invariants are dim_rt_interior + dim_rt_boundary =
     2*len(edges) + 2*num_triangles and dim_rt_boundary = dim_trace.
     tri_edges[t, l] is the number of the edge from local vertex l to
-    local vertex l + 1 (mod 3) of triangle t.
+    local vertex l + 1 (mod 3) of triangle t, and tri_edge_sign[t, l] is
+    +1 where that edge runs from its global min to its max vertex (the
+    orientation of the edge's Raviart-Thomas normal), -1 otherwise.
     """
 
     dim_p1: int
@@ -199,6 +191,7 @@ class DofMaps:
     rt_edge_dofs: np.ndarray
     rt_tri_dofs: np.ndarray
     tri_edges: np.ndarray
+    tri_edge_sign: np.ndarray
 
 
 def build_dof_maps(mesh):
@@ -233,6 +226,7 @@ def build_dof_maps(mesh):
         rt_edge_dofs=rt_edge_dofs,
         rt_tri_dofs=rt_tri_dofs,
         tri_edges=tri_edges,
+        tri_edge_sign=_orientation(tris, np.roll(tris, -1, axis=1)),
     )
 
 
@@ -316,7 +310,7 @@ def assemble_rt1(mesh, dofs):
     # rows 2l and 2l+1 of the Vandermonde: the normal trace on local edge
     # l at its global min and max vertex
     pair = np.array([[0, 1], [1, 2], [2, 0]])
-    ends = np.where((tris < np.roll(tris, -1, axis=1))[:, :, None], pair, pair[:, ::-1])
+    ends = np.where(dofs.tri_edge_sign[:, :, None] > 0, pair, pair[:, ::-1])
     ends_xi = xi[np.arange(nt)[:, None, None], ends]
     normals = edge_normal[dofs.tri_edges][:, :, None, :, None]
     v = np.empty((nt, 8, 8))
@@ -362,30 +356,29 @@ def assemble_broken(mesh):
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """All matrices of one mesh, in a fixed deterministic dof order.
+    """All operators of one mesh, in a fixed deterministic dof order.
 
-    Flux matrices are stored with interior dofs first and the boundary
-    dofs (loop order) last; rt_mass_ii / rt_mass_ib and div_interior /
-    div_boundary are the corresponding blocks of rt_mass and
-    div_coupling.
+    Every matrix is stored once, as csr; only broken_moments is a
+    vector.  The boundary operators are those of BoundaryOperators.
+    Flux matrices (rt_mass (p, p) and div_coupling (dim_broken, p))
+    number the interior dofs first and the boundary dofs (loop order)
+    last, so their interior and boundary blocks are the column slices
+    at dofs.dim_rt_interior.
     """
 
     mesh: Mesh
     dofs: DofMaps
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
-    boundary_coupling: np.ndarray
-    boundary_mass: np.ndarray
+    boundary_coupling: sp.csr_matrix
+    boundary_mass: sp.csr_matrix
     vertex_boundary_mass: sp.csr_matrix
-    trace_map: np.ndarray
+    trace_map: sp.csr_matrix
     broken_mass: sp.csr_matrix
     broken_coupling: sp.csr_matrix
     broken_moments: np.ndarray
     rt_mass: sp.csr_matrix
-    rt_mass_ii: sp.csr_matrix
-    rt_mass_ib: sp.csr_matrix
-    div_interior: sp.csr_matrix
-    div_boundary: sp.csr_matrix
+    div_coupling: sp.csr_matrix
     rt_elements: RTElements
 
     def boundary_integral(self, g):
@@ -405,9 +398,6 @@ def assemble_system(mesh):
     boundary = assemble_boundary(mesh)
     broken_mass, broken_coupling, moments = assemble_broken(mesh)
     rt_mass, div_coupling, elements = assemble_rt1(mesh, dofs)
-    p_int = dofs.dim_rt_interior
-    rt_csc = rt_mass.tocsc()
-    div_csc = div_coupling.tocsc()
     return AssembledSystem(
         mesh=mesh,
         dofs=dofs,
@@ -421,10 +411,7 @@ def assemble_system(mesh):
         broken_coupling=broken_coupling,
         broken_moments=moments,
         rt_mass=rt_mass,
-        rt_mass_ii=rt_csc[:, :p_int][:p_int].tocsr(),
-        rt_mass_ib=rt_csc[:, p_int:][:p_int].tocsr(),
-        div_interior=div_csc[:, :p_int].tocsr(),
-        div_boundary=div_csc[:, p_int:].tocsr(),
+        div_coupling=div_coupling,
         rt_elements=elements,
     )
 
@@ -452,34 +439,34 @@ def project_boundary(mesh, data, n_gauss=10):
     the outward unit normal of each edge, or an (nb, 2) array of endpoint
     values taken as the trace coefficients directly.  The projection is
     local: each edge solves its own 2x2 Gram system, so jumps at vertices
-    are allowed.
+    are allowed.  Non-finite data raises ValueError on either path.
     """
     nb = mesh.num_boundary_edges
     if not callable(data):
-        values = np.asarray(data, dtype=float)
-        if values.shape != (nb, 2):
-            raise ValueError(f"expected ({nb}, 2) endpoint values, got {values.shape}")
-        return BoundaryField(values.ravel())
-
-    snodes, sweights = edge_gauss_rule(n_gauss)
-    normals = boundary_normals(mesh)
-    lengths = mesh.boundary_edge_lengths()
-    g = np.empty(2 * nb)
-    inv_block = np.array([[2.0, -1.0], [-1.0, 2.0]]) * 2.0
-    for j in range(nb):
-        a, b = mesh.boundary_edges[j]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        pts = pa[None, :] + snodes[:, None] * (pb - pa)[None, :]
-        vals = np.asarray(data(pts, normals[j]), dtype=float)
-        if vals.shape != snodes.shape:
-            raise ValueError("boundary data callable must return one value per point")
-        rhs = np.array(
-            [
-                lengths[j] * np.sum(sweights * vals * (1.0 - snodes)),
-                lengths[j] * np.sum(sweights * vals * snodes),
-            ]
-        )
-        g[2 * j : 2 * j + 2] = inv_block @ rhs / lengths[j]
+        g = np.asarray(data, dtype=float)
+        if g.shape != (nb, 2):
+            raise ValueError(f"expected ({nb}, 2) endpoint values, got {g.shape}")
+        g = g.ravel()
+    else:
+        snodes, sweights = edge_gauss_rule(n_gauss)
+        normals = boundary_normals(mesh)
+        lengths = mesh.boundary_edge_lengths()
+        g = np.empty(2 * nb)
+        inv_block = np.array([[2.0, -1.0], [-1.0, 2.0]]) * 2.0
+        for j in range(nb):
+            a, b = mesh.boundary_edges[j]
+            pa, pb = mesh.vertices[a], mesh.vertices[b]
+            pts = pa[None, :] + snodes[:, None] * (pb - pa)[None, :]
+            vals = np.asarray(data(pts, normals[j]), dtype=float)
+            if vals.shape != snodes.shape:
+                raise ValueError("boundary data callable must return one value per point")
+            rhs = np.array(
+                [
+                    lengths[j] * np.sum(sweights * vals * (1.0 - snodes)),
+                    lengths[j] * np.sum(sweights * vals * snodes),
+                ]
+            )
+            g[2 * j : 2 * j + 2] = inv_block @ rhs / lengths[j]
     if not np.all(np.isfinite(g)):
         raise ValueError("boundary data produced non-finite projection coefficients")
     return BoundaryField(g)

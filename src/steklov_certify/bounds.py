@@ -135,10 +135,26 @@ def load_references(path):
     """Read a reference eigenvalue table from a JSON file.
 
     Expected shape: {"domain": {"values": [lam1, lam2, ...], ...}, ...};
-    extra keys (provenance notes) are ignored.
+    extra keys (provenance notes) are ignored.  Raises ValueError naming
+    the file, and the entry where there is one, for anything else.
     """
-    doc = json.loads(Path(path).read_text())
-    return {key: [float(v) for v in entry["values"]] for key, entry in doc.items()}
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected an object of domains, got {type(doc).__name__}")
+    table = {}
+    for key, entry in doc.items():
+        values = entry.get("values") if isinstance(entry, dict) else None
+        try:
+            floats = [float(v) for v in values] if isinstance(values, list) else None
+        except (TypeError, ValueError, OverflowError):
+            floats = None
+        if floats is None or not np.all(np.isfinite(floats)):
+            raise ValueError(f'{path}: entry {key!r} needs a list of finite numbers as "values"')
+        table[key] = floats
+    return table
 
 
 def reference_eigenvalues(domain):

@@ -307,7 +307,7 @@ def _dump_matrices(system, directory):
         "broken_mass": system.broken_mass,
         "broken_coupling": system.broken_coupling,
         "rt_mass": system.rt_mass,
-        "div_coupling": sp.hstack([system.div_interior, system.div_boundary]).tocsr(),
+        "div_coupling": system.div_coupling,
         "broken_moments": system.broken_moments[:, None],
     }
     for name, matrix in named.items():

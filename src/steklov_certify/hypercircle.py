@@ -30,9 +30,10 @@ a symmetric positive semidefinite system for mu.  Its kernel is one
 constant lam with the matching mu.  The compatibility condition that
 belongs to it fixes c in closed form, c = (int u - int f) / |Omega|,
 since the interior flux dofs carry no net divergence and the broken
-moments sum to |Omega|.  One boundary multiplier is pinned to zero, the
-remaining positive definite system is factored once, and the dropped
-equation is checked as the compatibility residual.
+moments sum to |Omega|.  One multiplier, on the interior edge nearest
+the vertex centroid, is pinned to zero, the remaining positive definite
+system is factored once, and the dropped equation is checked as the
+compatibility residual.
 """
 
 from __future__ import annotations
@@ -119,11 +120,10 @@ class EquilibrationSolver:
         nt = mesh.num_triangles
         s = dofs.dim_trace
         n_edge = 2 * len(dofs.edges)
-        tris = mesh.triangles
         # edge multiplier 2e + k belongs to the RT dof k of edge e; sign is
         # +1 where the global edge normal is the element's outward normal
         edge_dof = (2 * dofs.tri_edges[:, :, None] + np.arange(2)).reshape(nt, 6)
-        sign = np.repeat(np.where(tris < np.roll(tris, -1, axis=1), 1.0, -1.0), 2, axis=1)
+        sign = np.repeat(dofs.tri_edge_sign, 2, axis=1)
         broken = np.arange(3 * nt).reshape(nt, 3)
 
         local = np.zeros((nt, 11, 11))
@@ -154,12 +154,11 @@ class EquilibrationSolver:
         self._edge_dof = edge_dof
         self._dof_count = np.bincount(el.gdofs.ravel(), minlength=dofs.dim_rt_interior + s)
 
-        # outward normal traces of the boundary edges, as a signed
-        # permutation of the trace slots
+        # outward normal traces of the boundary edges: the trace map's
+        # sign is that of the global normal against the outward one, and
+        # the multipliers act on outward traces, so the signs cancel
         boundary_dof = (2 * dofs.boundary_edge_index[:, None] + np.arange(2)).ravel()
-        loop = mesh.boundary_edges
-        outward = np.repeat(np.where(loop[:, 0] < loop[:, 1], 1.0, -1.0), 2)
-        trace = sp.coo_matrix(outward[:, None] * system.trace_map)
+        trace = abs(system.trace_map).tocoo()
         self._trace_to_edge = sp.csr_matrix(
             (trace.data, (boundary_dof[trace.row], trace.col)), shape=(n_edge, s)
         )
@@ -292,7 +291,7 @@ class EquilibrationSolver:
         s = sysm.dofs.dim_trace
         y_all = self._p1.solve(sysm.boundary_coupling)
         volumes = y_all.T @ (sysm.mass @ np.ones(sysm.dofs.dim_p1))
-        shifts = (volumes - sysm.boundary_mass.sum(axis=0)) / self._area
+        shifts = (volumes - np.asarray(sysm.boundary_mass.sum(axis=0)).ravel()) / self._area
         quad = (
             -sysm.boundary_coupling.T @ y_all
             + y_all.T @ (sysm.mass @ y_all)

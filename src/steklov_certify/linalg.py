@@ -101,12 +101,11 @@ class CholeskyFactor:
         self._lu = lu
         self._a = a.tocsr()
 
-    def solve(self, b, check=True):
+    def solve(self, b):
         b = _dense(b)
         x = self._lu.solve(b)
         x += self._lu.solve(b - self._a @ x)
-        if check:
-            _check_residual(lambda v: self._a @ v, x, b, "Cholesky solve")
+        _check_residual(lambda v: self._a @ v, x, b, "Cholesky solve")
         return x
 
 
@@ -127,11 +126,10 @@ class SaddleFactor:
             raise SingularSystemError(f"saddle matrix is singular{deficiency}: {exc}") from exc
         self._m = m.tocsr()
 
-    def solve(self, b, check=True):
+    def solve(self, b):
         b = _dense(b)
         x = self._lu.solve(b)
-        if check:
-            _check_residual(lambda v: self._m @ v, x, b, "saddle solve")
+        _check_residual(lambda v: self._m @ v, x, b, "saddle solve")
         return x
 
 

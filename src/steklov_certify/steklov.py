@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    assemble_p1,
-    assemble_vertex_boundary_mass,
-    build_dof_maps,
-    p1_gradients,
-    scatter_csr,
-)
+from .assembly import assemble_boundary, assemble_p1, build_dof_maps, p1_gradients, scatter_csr
 from .linalg import general_sym_eig
 
 __all__ = [
@@ -86,7 +80,7 @@ def solve_steklov_p1(mesh, k, operators=None):
     """
     if operators is None:
         stiffness, mass = assemble_p1(mesh)
-        boundary_mass = assemble_vertex_boundary_mass(mesh)
+        boundary_mass = assemble_boundary(mesh).vertex_boundary_mass
     else:
         stiffness, mass, boundary_mass = operators
     result = general_sym_eig(stiffness + mass, boundary_mass, k=k, which="smallest")

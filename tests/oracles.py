@@ -211,7 +211,8 @@ def kkt_matrix(system, basis=None):
     basis, a (p_int, p_int) matrix T, rewrites the system for the
     interior flux basis transformed by x_i = T z.
     """
-    m_ii, d_i = system.rt_mass_ii, system.div_interior
+    p_int = system.dofs.dim_rt_interior
+    m_ii, d_i = system.rt_mass[:p_int, :p_int], system.div_coupling[:, :p_int]
     if basis is not None:
         m_ii = basis.T @ (m_ii @ basis)
         d_i = d_i @ basis
@@ -232,14 +233,14 @@ def _kkt_solve(system, g, y, basis=None):
     Neumann solutions y (n, k)."""
     p_int = system.dofs.dim_rt_interior
     x_bnd = system.trace_map @ g
-    m_ib = system.rt_mass_ib.toarray()
+    m_ib = system.rt_mass[:p_int, p_int:].toarray()
     if basis is not None:
         m_ib = basis.T @ m_ib
     rhs = np.vstack(
         [
             -(m_ib @ x_bnd),
             np.zeros((1, g.shape[1])),
-            system.broken_coupling @ y - system.div_boundary @ x_bnd,
+            system.broken_coupling @ y - system.div_coupling[:, p_int:] @ x_bnd,
         ]
     )
     sol = SaddleFactor(kkt_matrix(system, basis)).solve(rhs)
@@ -257,7 +258,9 @@ def kkt_constant(system, basis=None):
     """Projection error constant through the KKT system: the s-column
     solve, the error quadratic form, and its top eigenvalue against the
     trace Gram matrix by explicit Cholesky reduction."""
-    y_all = np.linalg.solve((system.stiffness + system.mass).toarray(), system.boundary_coupling)
+    y_all = np.linalg.solve(
+        (system.stiffness + system.mass).toarray(), system.boundary_coupling.toarray()
+    )
     s = system.dofs.dim_trace
     x_all, shifts, _ = _kkt_solve(system, np.eye(s), y_all, basis)
     volumes = y_all.T @ (system.mass @ np.ones(system.dofs.dim_p1))
@@ -269,7 +272,7 @@ def kkt_constant(system, basis=None):
         - np.outer(shifts, volumes)
     )
     quad = 0.5 * (quad + quad.T)
-    l = np.linalg.cholesky(system.boundary_mass)
+    l = np.linalg.cholesky(system.boundary_mass.toarray())
     reduced = np.linalg.solve(l, np.linalg.solve(l, quad).T)
     top = np.linalg.eigvalsh(0.5 * (reduced + reduced.T)).max()
     return float(np.sqrt(max(top, 0.0)))

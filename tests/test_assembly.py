@@ -1,5 +1,7 @@
 """Quadrature, P1/boundary/broken/flux assembly and the trace projection."""
 
+import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +128,7 @@ def test_assembled_matrices_exactly_symmetric(system_square2):
     for matrix in (system_square2.stiffness, system_square2.mass, system_square2.rt_mass):
         diff = matrix - matrix.T
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
-    gram = system_square2.boundary_mass
+    gram = system_square2.boundary_mass.toarray()
     assert np.array_equal(gram, gram.T)
 
 
@@ -134,7 +136,7 @@ def test_spd_of_core_matrices(system_lshape2):
     sysm = system_lshape2
     h1 = (sysm.stiffness + sysm.mass).toarray()
     assert np.linalg.eigvalsh(h1).min() > 0.0
-    assert np.linalg.eigvalsh(sysm.boundary_mass).min() > 0.0
+    assert np.linalg.eigvalsh(sysm.boundary_mass.toarray()).min() > 0.0
     assert np.linalg.eigvalsh(sysm.rt_mass.toarray()).min() > 0.0
 
 
@@ -145,21 +147,22 @@ def test_boundary_gram_blocks():
     mesh = uniform_square_mesh(2)
     ops = assemble_boundary(mesh)
     lengths = mesh.boundary_edge_lengths()
-    expected = np.zeros_like(ops.boundary_mass)
+    gram = ops.boundary_mass.toarray()
+    expected = np.zeros_like(gram)
     for j, ell in enumerate(lengths):
         expected[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (ell / 6.0) * np.array(
             [[2.0, 1.0], [1.0, 2.0]]
         )
-    assert np.allclose(ops.boundary_mass, expected, atol=1e-16)
-    ones = np.ones(ops.boundary_mass.shape[0])
-    assert ones @ (ops.boundary_mass @ ones) == pytest.approx(4.0, rel=1e-13)
+    assert np.allclose(gram, expected, atol=1e-16)
+    ones = np.ones(gram.shape[0])
+    assert ones @ (gram @ ones) == pytest.approx(4.0, rel=1e-13)
 
 
 def test_boundary_coupling_against_quadrature_oracle():
     """Every D entry is an edge integral of hat * slot function."""
     mesh = uniform_lshape_mesh(1)
     ops = assemble_boundary(mesh)
-    coupling = ops.boundary_coupling
+    coupling = ops.boundary_coupling.toarray()
     expected = np.zeros_like(coupling)
     for j, (a, b) in enumerate(mesh.boundary_edges):
         pa, pb = mesh.vertices[a], mesh.vertices[b]
@@ -179,8 +182,9 @@ def test_boundary_coupling_supported_on_boundary_vertices():
     interior = np.setdiff1d(
         np.arange(mesh.num_vertices), np.unique(mesh.boundary_edges)
     )
-    assert np.all(ops.boundary_coupling[interior] == 0.0)
-    row_ones = ops.boundary_coupling @ np.ones(ops.boundary_mass.shape[0])
+    coupling = ops.boundary_coupling.toarray()
+    assert np.all(coupling[interior] == 0.0)
+    row_ones = coupling @ np.ones(ops.boundary_mass.shape[0])
     assert row_ones.sum() == pytest.approx(4.0, rel=1e-13)
 
 
@@ -201,7 +205,7 @@ def test_vertex_boundary_mass_matches_coupling():
 def test_trace_map_is_signed_permutation():
     mesh = uniform_lshape_mesh(2)
     ops = assemble_boundary(mesh)
-    m = ops.trace_map
+    m = ops.trace_map.toarray()
     assert np.allclose(m.T @ m, np.eye(m.shape[0]), atol=0.0)
     assert set(np.abs(m[m != 0.0])) == {1.0}
     assert np.count_nonzero(m) == m.shape[0]
@@ -212,7 +216,7 @@ def test_trace_map_signs_follow_edge_orientation():
     ops = assemble_boundary(mesh)
     normals = boundary_normals(mesh)
     for j, (a, b) in enumerate(map(tuple, mesh.boundary_edges)):
-        block = ops.trace_map[2 * j : 2 * j + 2, 2 * j : 2 * j + 2]
+        block = ops.trace_map[2 * j : 2 * j + 2, 2 * j : 2 * j + 2].toarray()
         lo, hi = min(a, b), max(a, b)
         d = mesh.vertices[hi] - mesh.vertices[lo]
         global_normal = np.array([d[1], -d[0]]) / np.linalg.norm(d)
@@ -221,6 +225,32 @@ def test_trace_map_signs_follow_edge_orientation():
             assert np.array_equal(block, sign * np.eye(2))
         else:
             assert np.array_equal(block, sign * np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_every_operator_matrix_is_sparse(system_lshape2):
+    """Every matrix field of AssembledSystem and BoundaryOperators is
+    scipy.sparse; the one dense array field is the vector broken_moments."""
+    for record in (system_lshape2, assemble_boundary(system_lshape2.mesh)):
+        for field in dataclasses.fields(record):
+            value = getattr(record, field.name)
+            if isinstance(value, np.ndarray):
+                assert field.name == "broken_moments" and value.ndim == 1
+            elif field.name not in ("mesh", "dofs", "rt_elements"):
+                assert sp.issparse(value), field.name
+
+
+def test_boundary_operators_memory_peak_square64():
+    """assemble_boundary keeps no dense (n, s) or (s, s) array: its
+    traced peak at square n = 64 stays below 1 MB (the dense operators
+    needed 20.6 MB)."""
+    mesh = uniform_square_mesh(64)
+    tracemalloc.start()
+    try:
+        assemble_boundary(mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_outward_normals():
@@ -297,11 +327,10 @@ def _interpolate_flux(mesh, system, field):
 
 
 def _total_divergence(system, x):
-    p_int = system.div_interior.shape[1]
-    assert len(x) == p_int + system.div_boundary.shape[1]
-    return float(
-        np.sum(system.div_interior @ x[:p_int]) + np.sum(system.div_boundary @ x[p_int:])
-    )
+    p_int = system.dofs.dim_rt_interior
+    div_interior, div_boundary = system.div_coupling[:, :p_int], system.div_coupling[:, p_int:]
+    assert len(x) == p_int + div_boundary.shape[1]
+    return float(np.sum(div_interior @ x[:p_int]) + np.sum(div_boundary @ x[p_int:]))
 
 
 def _boundary_flux(mesh, system, x):
@@ -331,7 +360,8 @@ def test_flux_interpolation_constant_field(system_square2):
     assert np.allclose(vals[..., 1], 0.0, atol=1e-12)
     # divergence-free: all moments against the broken space vanish
     p_int = system_square2.dofs.dim_rt_interior
-    moments = system_square2.div_interior @ x[:p_int] + system_square2.div_boundary @ x[p_int:]
+    div = system_square2.div_coupling
+    moments = div[:, :p_int] @ x[:p_int] + div[:, p_int:] @ x[p_int:]
     assert np.abs(moments).max() <= 1e-13
     assert abs(_boundary_flux(mesh, system_square2, x)) <= 1e-13
 
@@ -345,7 +375,8 @@ def test_flux_interpolation_linear_field(system_square2):
     assert np.allclose(vals, expected, atol=1e-12)
     # div (x, y) = 2: moments equal twice the broken moments
     p_int = system_square2.dofs.dim_rt_interior
-    moments = system_square2.div_interior @ x[:p_int] + system_square2.div_boundary @ x[p_int:]
+    div = system_square2.div_coupling
+    moments = div[:, :p_int] @ x[:p_int] + div[:, p_int:] @ x[p_int:]
     assert np.allclose(moments, 2.0 * system_square2.broken_moments, atol=1e-13)
     assert _total_divergence(system_square2, x) == pytest.approx(2.0, rel=1e-12)
     assert _boundary_flux(mesh, system_square2, x) == pytest.approx(2.0, rel=1e-12)
@@ -359,14 +390,6 @@ def test_divergence_theorem_for_random_flux(system_lshape2, rng):
         interior = _total_divergence(sysm, x)
         boundary = _boundary_flux(sysm.mesh, sysm, x)
         assert interior == pytest.approx(boundary, rel=1e-12, abs=1e-12)
-
-
-def test_system_block_slicing(system_square2):
-    sysm = system_square2
-    p_int = sysm.dofs.dim_rt_interior
-    full = sysm.rt_mass.toarray()
-    assert np.array_equal(sysm.rt_mass_ii.toarray(), full[:p_int, :p_int])
-    assert np.array_equal(sysm.rt_mass_ib.toarray(), full[:p_int, p_int:])
 
 
 # --- every assembled table against the element-loop assembly -----------------
@@ -401,10 +424,19 @@ _DOF_SIZES = ("dim_p1", "dim_broken", "dim_trace", "dim_rt_interior", "dim_rt_bo
 
 def system_arrays(system):
     """Every matrix of an AssembledSystem, the RT element data and the
-    DofMaps tables as plain arrays; sparse matrices as COO triplets."""
+    DofMaps tables as plain arrays; sparse matrices as COO triplets.
+    The interior and boundary blocks of rt_mass and div_coupling, which
+    the snapshot records under their own names, are sliced here."""
+    p_int = system.dofs.dim_rt_interior
+    blocks = {
+        "rt_mass_ii": system.rt_mass[:p_int, :p_int],
+        "rt_mass_ib": system.rt_mass[:p_int, p_int:],
+        "div_interior": system.div_coupling[:, :p_int],
+        "div_boundary": system.div_coupling[:, p_int:],
+    }
     out = {}
     for name in _SYSTEM_MATRICES:
-        value = getattr(system, name)
+        value = blocks[name] if name in blocks else getattr(system, name)
         if sp.issparse(value):
             coo = value.tocoo()
             out[f"{name}_row"], out[f"{name}_col"] = coo.row, coo.col
@@ -421,8 +453,10 @@ def system_arrays(system):
 
 
 def _as_matrix(arrays, name):
+    """csr form of an entry; the snapshot holds the boundary operators
+    of the dense-boundary assembly as dense arrays."""
     if f"{name}_data" not in arrays:
-        return np.asarray(arrays[name])
+        return sp.csr_matrix(np.atleast_2d(arrays[name]))
     return sp.csr_matrix(
         (arrays[f"{name}_data"], (arrays[f"{name}_row"], arrays[f"{name}_col"])),
         shape=tuple(arrays[f"{name}_shape"]),
@@ -543,3 +577,14 @@ def test_project_rejects_non_finite_data():
 
     with pytest.raises(ValueError):
         project_boundary(mesh, bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_project_rejects_non_finite_endpoint_values(value):
+    """The endpoint-array path rejects non-finite data like the callable
+    path does."""
+    mesh = uniform_square_mesh(2)
+    values = np.ones((mesh.num_boundary_edges, 2))
+    values[3, 1] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        project_boundary(mesh, values)

@@ -147,6 +147,29 @@ def test_bounds_refs_override(tmp_path, capsys):
     assert float(row["total_err"]) == pytest.approx(abs(lam1 - 0.25), abs=1e-7)
 
 
+@pytest.mark.parametrize(
+    "text,entry",
+    [
+        ('{"unit_square": {}}', "'unit_square'"),
+        ("[1, 2]", "list"),
+        ('{"unit_square": {"values": 3}}', "'unit_square'"),
+        ('{"unit_square": {"values": [NaN]}}', "'unit_square'"),
+        ('{"unit_square": ', "not valid JSON"),
+    ],
+)
+def test_bounds_bad_refs_file_is_an_error_message(tmp_path, capsys, text, entry):
+    """A reference file of the wrong shape exits 1 with one error line
+    naming the file and the bad entry, not a traceback."""
+    refs = tmp_path / "refs.json"
+    refs.write_text(text)
+    code, out, err = _run(
+        ["bounds", "--domain", "square", "--n", "2", "--k", "1", "--refs", str(refs)], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(refs) in err and entry in err
+
+
 def test_bounds_json_format(capsys):
     code, out, _ = _run(
         ["bounds", "--domain", "square", "--n", "4", "--k", "2", "--format", "json",

@@ -222,7 +222,9 @@ def test_pinned_edge_system_residual_near_roundoff():
     refinement towards the 1e-10 check of CholeskyFactor."""
     sysm = assemble_system(uniform_square_mesh(32))
     solver = EquilibrationSolver(sysm)
-    y_all = np.linalg.solve((sysm.stiffness + sysm.mass).toarray(), sysm.boundary_coupling)
+    y_all = np.linalg.solve(
+        (sysm.stiffness + sysm.mass).toarray(), sysm.boundary_coupling.toarray()
+    )
     rhs = solver._load_to_edge @ (sysm.broken_coupling @ y_all) - solver._trace_to_edge.toarray()
     rhs = rhs[solver._free]
     x = solver._edges.solve(rhs)

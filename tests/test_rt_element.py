@@ -151,9 +151,7 @@ def test_divergence_coupling_against_symbolic_integrals(element_case):
     coeffs = system.rt_elements.coeffs[0]
     gdofs = system.rt_elements.gdofs[0]
     expected = divmom @ coeffs
-    actual = np.hstack(
-        [system.div_interior.toarray(), system.div_boundary.toarray()]
-    )[:, gdofs]
+    actual = system.div_coupling.toarray()[:, gdofs]
     assert np.allclose(actual, expected, rtol=1e-12, atol=1e-14)
 
 

@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from steklov_certify.assembly import (
-    assemble_boundary,
-    assemble_p1,
-    assemble_vertex_boundary_mass,
-)
+from steklov_certify.assembly import assemble_boundary, assemble_p1, assemble_system
 from steklov_certify.mesh import uniform_lshape_mesh, uniform_square_mesh
 from steklov_certify.steklov import (
     assemble_cr,
@@ -201,13 +197,13 @@ def test_operators_paths_agree(square4):
 
 @pytest.mark.parametrize("gen", [uniform_square_mesh, uniform_lshape_mesh])
 def test_default_path_boundary_form_matches_record(gen):
-    """The default path of solve_steklov_p1 assembles the boundary form
-    alone; it equals the assemble_boundary record bit for bit, and so
-    does the spectrum of both paths."""
+    """The default path of solve_steklov_p1 reads the boundary form of
+    assemble_boundary; the assembled system carries it bit for bit, and
+    the spectra of both paths agree bit for bit too."""
     mesh = gen(4)
     stiffness, mass = assemble_p1(mesh)
-    record = assemble_boundary(mesh).vertex_boundary_mass
-    alone = assemble_vertex_boundary_mass(mesh)
+    record = assemble_system(mesh).vertex_boundary_mass
+    alone = assemble_boundary(mesh).vertex_boundary_mass
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(alone, name), getattr(record, name))
     default = solve_steklov_p1(mesh, 3)
