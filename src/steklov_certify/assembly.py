@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, boundary_local_edges
+from .mesh import Mesh, boundary_local_edges, edge_table
 
 __all__ = [
     "AssembledSystem",
@@ -198,11 +198,8 @@ def build_dof_maps(mesh):
     nt = mesh.num_triangles
     nb = mesh.num_boundary_edges
     tris = mesh.triangles
-    pairs = np.sort(
-        np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=0), axis=1
-    )
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    tri_edges = inverse.reshape(3, nt).T
+    table = edge_table(tris)
+    edges, tri_edges = table.edges, table.tri_edges
     boundary_edge_index = tri_edges[mesh.boundary_triangles, boundary_local_edges(mesh)]
     edge_is_boundary = np.zeros(len(edges), dtype=bool)
     edge_is_boundary[boundary_edge_index] = True

@@ -25,11 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import MeshError, boundary_local_edges, element_geometry
+from .mesh import MeshError, _reject, boundary_local_edges
 
 __all__ = [
     "ConstantsRecord",
-    "boundary_element_edges",
     "certification_constant",
     "certified_lower_bound",
     "cr_error_constant",
@@ -59,15 +58,9 @@ class ConstantsRecord:
     cr_simple: float | None = None
 
 
-def boundary_element_edges(mesh):
-    """Iterate (triangle, local edge index) over every boundary edge.
-
-    Corner triangles with several boundary edges appear once per edge, so
-    maximizing a per-(element, edge) quantity over this iterator covers
-    all admissible pairs.  Raises MeshError for a boundary edge that is
-    not an edge of its recorded triangle.
-    """
-    return zip(mesh.boundary_triangles.tolist(), boundary_local_edges(mesh).tolist())
+def _edge_trace(edge_length, area, h_max):
+    """0.574 sqrt(|e| / |K|) h_K, elementwise over arrays."""
+    return EDGE_TRACE_COEFF * np.sqrt(edge_length / area) * h_max
 
 
 def edge_trace_constant(geom, edge):
@@ -76,23 +69,31 @@ def edge_trace_constant(geom, edge):
         raise ValueError(f"edge index must be 0..2, got {edge}")
     if geom.area <= 0.0:
         raise MeshError("degenerate element")
-    return EDGE_TRACE_COEFF * np.sqrt(geom.edge_lengths[edge] / geom.area) * geom.h_max
+    return _edge_trace(geom.edge_lengths[edge], geom.area, geom.h_max)
+
+
+def _boundary_elements(mesh):
+    """Area, longest edge and boundary edge length of the triangle of each
+    boundary edge, three (nb,) arrays; a corner triangle comes once per edge."""
+    t = mesh.boundary_triangles
+    local = boundary_local_edges(mesh)
+    areas = mesh.triangle_areas()[t]
+    _reject(areas <= 0.0, lambda j: (
+        f"triangle {t[j]} is degenerate or misoriented (signed area {areas[j]})"
+    ))
+    lengths = mesh.edge_lengths_per_triangle()[t]
+    return areas, lengths.max(axis=1), lengths[np.arange(len(t)), local]
 
 
 def trace_constant_bound(mesh):
     """Largest per-element trace constant over all boundary edges."""
-    best = 0.0
-    for t, l in boundary_element_edges(mesh):
-        best = max(best, float(edge_trace_constant(element_geometry(mesh, t), l)))
-    return best
+    areas, h_max, lengths = _boundary_elements(mesh)
+    return float(_edge_trace(lengths, areas, h_max).max(initial=0.0))
 
 
 def trace_constant_simplified(mesh):
     """Coarser mesh-size form of the trace constant (for shape-regular meshes)."""
-    h_boundary = max(
-        element_geometry(mesh, t).h_max for t, _ in boundary_element_edges(mesh)
-    )
-    return TRACE_SIMPLE_COEFF * float(np.sqrt(h_boundary))
+    return TRACE_SIMPLE_COEFF * float(np.sqrt(_boundary_elements(mesh)[1].max()))
 
 
 def certification_constant(trace_const, proj_const):
@@ -120,10 +121,8 @@ def cr_error_constant(mesh, first_cr_eigenvalue):
     """
     if first_cr_eigenvalue <= 0.0:
         raise ValueError("first CR eigenvalue must be positive")
-    boundary_part = 0.0
-    for t, l in boundary_element_edges(mesh):
-        geom = element_geometry(mesh, t)
-        boundary_part = max(boundary_part, geom.h_max / np.sqrt(geom.heights[l]))
+    areas, h_max, lengths = _boundary_elements(mesh)
+    boundary_part = (h_max / np.sqrt(2.0 * areas / lengths)).max(initial=0.0)
     h = mesh.h
     root = 1.0 / np.sqrt(first_cr_eigenvalue)
     full = CR_TRACE_COEFF * boundary_part + CR_GLOBAL_COEFF * root * h

@@ -86,80 +86,47 @@ def certify_level(mesh, k, methods, references, n=None, dump_dir=None):
     exact eigenvalues (or None) used only for the error columns.  Returns
     one LevelResult per method, conforming first.
     """
-    results = []
     refs = list(references) if references else None
+    trace_const = bnd.trace_constant_bound(mesh)
+    trace_simple = bnd.trace_constant_simplified(mesh)
 
-    def error_columns(values):
-        if refs is None:
-            return None, None
-        errors = [
-            abs(values[i] - refs[i]) if i < len(refs) else None for i in range(len(values))
-        ]
-        known = [e for e in errors if e is not None]
-        return errors, (sum(known) if known else None)
+    def level(method, spectrum, bound, **constants):
+        values = [float(v) for v in spectrum.values]
+        errors = total = None
+        if refs is not None:
+            errors = [
+                abs(values[i] - refs[i]) if i < len(refs) else None for i in range(len(values))
+            ]
+            known = [e for e in errors if e is not None]
+            total = sum(known) if known else None
+        return LevelResult(
+            domain=mesh.domain,
+            method=method,
+            n=n,
+            h=mesh.h,
+            dof=spectrum.vectors.shape[0],
+            constants=bnd.ConstantsRecord(trace_const, trace_simple, **constants),
+            eigenvalues=values,
+            lower_bounds=[bnd.certified_lower_bound(v, bound) for v in values],
+            errors=errors,
+            total_error=total,
+        )
 
+    results = []
     if "conforming" in methods:
         system = assemble_system(mesh)
         if dump_dir is not None:
             _dump_matrices(system, dump_dir)
-        solver = EquilibrationSolver(system)
-        proj = solver.constant()
-        trace_const = bnd.trace_constant_bound(mesh)
+        proj = EquilibrationSolver(system).constant()
         cert = bnd.certification_constant(trace_const, proj.value)
         spectrum = solve_steklov_p1(
             mesh, k, operators=(system.stiffness, system.mass, system.vertex_boundary_mass)
         )
-        constants = bnd.ConstantsRecord(
-            trace_const=trace_const,
-            trace_simple=bnd.trace_constant_simplified(mesh),
-            proj_const=proj.value,
-            cert_const=cert,
-        )
-        values = [float(v) for v in spectrum.values]
-        lowers = [bnd.certified_lower_bound(v, cert) for v in values]
-        errors, total = error_columns(values)
-        results.append(
-            LevelResult(
-                domain=mesh.domain,
-                method="conforming",
-                n=n,
-                h=mesh.h,
-                dof=mesh.num_vertices,
-                constants=constants,
-                eigenvalues=values,
-                lower_bounds=lowers,
-                errors=errors,
-                total_error=total,
-            )
-        )
-
+        results.append(level("conforming", spectrum, cert, proj_const=proj.value, cert_const=cert))
     if "cr" in methods:
         spectrum = solve_steklov_cr(mesh, k)
-        values = [float(v) for v in spectrum.values]
-        cr_const, cr_simple = bnd.cr_error_constant(mesh, values[0])
-        trace_const = bnd.trace_constant_bound(mesh)
-        constants = bnd.ConstantsRecord(
-            trace_const=trace_const,
-            trace_simple=bnd.trace_constant_simplified(mesh),
-            cr_const=cr_const,
-            cr_simple=cr_simple,
-        )
-        lowers = [bnd.certified_lower_bound(v, cr_const) for v in values]
-        errors, total = error_columns(values)
-        results.append(
-            LevelResult(
-                domain=mesh.domain,
-                method="cr",
-                n=n,
-                h=mesh.h,
-                dof=spectrum.vectors.shape[0],
-                constants=constants,
-                eigenvalues=values,
-                lower_bounds=lowers,
-                errors=errors,
-                total_error=total,
-            )
-        )
+        cr_const, cr_simple = bnd.cr_error_constant(mesh, float(spectrum.values[0]))
+        results.append(level("cr", spectrum, cr_const, cr_const=cr_const, cr_simple=cr_simple))
     return results
 
 

@@ -283,30 +283,32 @@ class EquilibrationSolver:
         Solves the conforming and flux problems for every trace basis
         vector, assembles the error quadratic form B on the trace space
         and takes the largest eigenvalue of B against the trace Gram
-        matrix.  The flux systems run in blocks of _BLOCK columns, and
-        the flux energy x_i^T M x_j is read off the multipliers of
-        column j as -loads_i^T lam_j - traces_i^T mu_j.
+        matrix.  The basis runs in blocks of _BLOCK columns c_i of the
+        boundary coupling C.  As P1 = stiffness + mass is symmetric, the
+        Neumann solution y_i = P1^{-1} c_i enters every product as
+        y_i^T v = c_i^T P1^{-1} v, so a block adds C^T (z - y) with
+        z = P1^{-1} (mass y - broken_coupling^T lam), and no (n_P1, s)
+        array is formed.  The flux energy x_i^T M x_j is read off the
+        multipliers of column j as -loads_i^T lam_j - traces_i^T mu_j.
         """
         sysm = self.system
         s = sysm.dofs.dim_trace
-        y_all = self._p1.solve(sysm.boundary_coupling)
-        volumes = y_all.T @ (sysm.mass @ np.ones(sysm.dofs.dim_p1))
+        coupling = sysm.boundary_coupling
+        volumes = coupling.T @ self._p1.solve(sysm.mass @ np.ones(sysm.dofs.dim_p1))
         shifts = (volumes - np.asarray(sysm.boundary_mass.sum(axis=0)).ravel()) / self._area
-        quad = (
-            -sysm.boundary_coupling.T @ y_all
-            + y_all.T @ (sysm.mass @ y_all)
-            - np.outer(volumes, shifts)
-            - np.outer(shifts, volumes)
-        )
+        quad = np.empty((s, s))
         w = sysm.broken_moments
         for start in range(0, s, _BLOCK):
             cols = slice(start, min(start + _BLOCK, s))
-            loads = sysm.broken_coupling @ y_all[:, cols] - np.outer(w, shifts[cols])
+            y = self._p1.solve(coupling[:, cols])
+            loads = sysm.broken_coupling @ y - np.outer(w, shifts[cols])
             lam, mu = self._multipliers(loads, self._trace_to_edge[:, cols].toarray())
-            quad[:, cols] -= (
-                y_all.T @ (sysm.broken_coupling.T @ lam)
-                - np.outer(shifts, w @ lam)
-                + self._trace_to_edge.T @ mu
+            z = self._p1.solve(sysm.mass @ y - sysm.broken_coupling.T @ lam)
+            quad[:, cols] = (
+                coupling.T @ (z - y)
+                - np.outer(volumes, shifts[cols])
+                - np.outer(shifts, volumes[cols] - w @ lam)
+                - self._trace_to_edge.T @ mu
             )
         norm = np.linalg.norm(quad)
         asym = np.linalg.norm(quad - quad.T)

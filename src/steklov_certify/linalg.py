@@ -150,6 +150,10 @@ class EigenResult:
 
 
 def _select(values, vectors, k, which):
+    """The k (default: all) smallest or largest of the finite eigenpairs."""
+    k = len(values) if k is None else k
+    if k > len(values):
+        raise LinearAlgebraError(f"requested {k} eigenpairs, pencil has {len(values)} finite ones")
     if which == "smallest":
         return values[:k], vectors[:, :k]
     return values[::-1][:k], vectors[:, ::-1][:, :k]
@@ -174,6 +178,8 @@ def general_sym_eig(a, b, k=None, which="smallest"):
     """
     if which not in ("smallest", "largest"):
         raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     b_sp = sp.csr_matrix(b)
     b_sp.eliminate_zeros()
     n = b_sp.shape[0]
@@ -190,13 +196,7 @@ def general_sym_eig(a, b, k=None, which="smallest"):
         except sla.LinAlgError:
             pass
         else:
-            n_finite = n
-            if k is None:
-                k = n_finite
-            if k > n_finite:
-                raise LinearAlgebraError(f"requested {k} eigenpairs, pencil has {n_finite}")
-            values, vectors = _select(values, vectors, k, which)
-            return EigenResult(values, vectors, n_finite, support)
+            return EigenResult(*_select(values, vectors, k, which), n, support)
 
     idx_b = support
     interior = np.ones(n, dtype=bool)
@@ -228,11 +228,6 @@ def general_sym_eig(a, b, k=None, which="smallest"):
     if mu[0] < -1e-8 * mu_max:
         raise LinearAlgebraError(f"b is indefinite (most negative direction {mu[0]:.3e})")
     finite = mu > _RANK_TOL * mu_max
-    n_finite = int(finite.sum())
-    if k is None:
-        k = n_finite
-    if k > n_finite:
-        raise LinearAlgebraError(f"requested {k} eigenpairs, pencil has {n_finite} finite ones")
 
     mu_f = mu[finite][::-1]  # ascending lambda = 1/mu
     w_f = w[:, finite][:, ::-1]
@@ -241,5 +236,4 @@ def general_sym_eig(a, b, k=None, which="smallest"):
     vectors = np.zeros((n, len(mu_f)))
     vectors[idx_b] = w_f * scale[None, :]
     vectors[idx_i] = -x @ vectors[idx_b]
-    values, vectors = _select(values, vectors, k, which)
-    return EigenResult(values, vectors, n_finite, support)
+    return EigenResult(*_select(values, vectors, k, which), len(mu_f), support)

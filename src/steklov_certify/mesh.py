@@ -18,10 +18,12 @@ import numpy as np
 
 __all__ = [
     "DOMAIN_TAGS",
+    "EdgeTable",
     "ElementGeometry",
     "Mesh",
     "MeshError",
     "boundary_local_edges",
+    "edge_table",
     "element_geometry",
     "read_mesh",
     "uniform_lshape_mesh",
@@ -35,6 +37,13 @@ DOMAIN_TAGS = ("unit_square", "l_shape", "custom")
 
 class MeshError(ValueError):
     """A mesh file or mesh object violates a structural invariant."""
+
+
+def _reject(mask, message):
+    """Raise MeshError(message(i)) for the first index i where mask holds."""
+    bad = np.nonzero(mask)[0]
+    if bad.size:
+        raise MeshError(message(int(bad[0])))
 
 
 def _frozen(a, dtype):
@@ -87,11 +96,6 @@ class Mesh:
     @property
     def num_boundary_edges(self):
         return self.boundary_edges.shape[0]
-
-    @property
-    def boundary_vertices(self):
-        """Boundary vertex indices, in loop order (one per boundary edge)."""
-        return self.boundary_edges[:, 0]
 
     def triangle_areas(self):
         """Signed areas of all triangles (positive for valid meshes)."""
@@ -156,17 +160,65 @@ def boundary_local_edges(mesh):
     for tri = triangles[boundary_triangles[j]]; raises MeshError for a
     boundary edge that is not a counterclockwise edge of that triangle.
     """
-    owner = mesh.triangles[mesh.boundary_triangles]
+    t = mesh.boundary_triangles
+    inside = (t >= 0) & (t < mesh.num_triangles)
+    owner = mesh.triangles[np.where(inside, t, 0)]
     a, b = mesh.boundary_edges[:, :1], mesh.boundary_edges[:, 1:]
-    hit = (owner == a) & (np.roll(owner, -1, axis=1) == b)
-    bad = np.nonzero(hit.sum(axis=1) != 1)[0]
-    if bad.size:
-        j = int(bad[0])
-        raise MeshError(
-            f"boundary edge {j} = ({a[j, 0]}, {b[j, 0]}) is not an edge of triangle "
-            f"{mesh.boundary_triangles[j]} in its counterclockwise orientation"
-        )
+    hit = (owner == a) & (np.roll(owner, -1, axis=1) == b) & inside[:, None]
+    _reject(hit.sum(axis=1) != 1, lambda j: (
+        f"boundary edge {j} = ({a[j, 0]}, {b[j, 0]}) is not an edge of triangle {t[j]} "
+        "in its counterclockwise orientation"
+    ))
     return hit.argmax(axis=1)
+
+
+def _pair_keys(pairs, base):
+    """One integer per unordered vertex pair, min * base + max: for any
+    base above every vertex index the keys sort as the (min, max) pairs."""
+    return pairs.min(axis=-1) * base + pairs.max(axis=-1)
+
+
+@dataclass(frozen=True)
+class EdgeTable:
+    """Every edge of a triangle list once (see edge_table).
+
+    edges (ne, 2) holds each edge as its (min, max) vertex pair, in
+    lexicographic order; tri_edges[t, l] is the number of the edge from
+    local vertex l to local vertex l + 1 (mod 3) of triangle t.
+    """
+
+    edges: np.ndarray
+    tri_edges: np.ndarray
+
+    @property
+    def counts(self):
+        """Number of triangles containing each edge, (ne,)."""
+        return np.bincount(self.tri_edges.ravel(), minlength=len(self.edges))
+
+    def locate(self, pairs):
+        """Edge number and the one triangle of each boundary edge, two
+        (nb,) int arrays.  Raises MeshError naming the first boundary
+        edge that lies in no triangle or in more than one."""
+        pairs = np.asarray(pairs, dtype=np.int64)
+        base = max(self.edges.max(initial=0), pairs.max(initial=0)) + 1
+        keys, want = _pair_keys(self.edges, base), _pair_keys(pairs, base)
+        found = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        hits = np.where(keys[found] == want, self.counts[found], 0)
+        _reject(hits != 1, lambda j: f"boundary edge {j} = {tuple(sorted(pairs[j].tolist()))} " + (
+            f"is shared by {hits[j]} triangles" if hits[j] else "belongs to no triangle (dangling)"
+        ))
+        triangle_of = np.empty(len(keys), dtype=np.int64)
+        triangle_of[self.tri_edges.ravel()] = np.arange(self.tri_edges.size) // 3
+        return found, triangle_of[found]
+
+
+def edge_table(triangles):
+    """The EdgeTable of an (nt, 3) triangle list."""
+    tris = np.asarray(triangles, dtype=np.int64)
+    base = tris.max(initial=0) + 1
+    pairs = np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1)
+    keys, inverse = np.unique(_pair_keys(pairs, base), return_inverse=True)
+    return EdgeTable(np.column_stack(np.divmod(keys, base)), inverse.reshape(tris.shape))
 
 
 def _split_cell(a, b, c, d, flip):
@@ -176,17 +228,6 @@ def _split_cell(a, b, c, d, flip):
     if flip:
         return [(a, b, d), (b, c, d)]
     return [(a, b, c), (a, c, d)]
-
-
-def _attach_boundary(vertices, triangles, edges, domain):
-    """Find the triangle of each boundary edge and build the mesh."""
-    incidence = {}
-    for t, tri in enumerate(triangles):
-        for l in range(3):
-            a, b = tri[l], tri[(l + 1) % 3]
-            incidence[(a, b)] = t
-    tris = [incidence[(a, b)] for a, b in edges]
-    return Mesh(vertices, triangles, edges, tris, domain=domain)
 
 
 def uniform_square_mesh(n):
@@ -221,7 +262,7 @@ def uniform_square_mesh(n):
     for j in range(n, 0, -1):  # left, downward
         edges.append((idx(0, j), idx(0, j - 1)))
 
-    return _attach_boundary(vertices, triangles, edges, "unit_square")
+    return Mesh(vertices, triangles, edges, edge_table(triangles).locate(edges)[1], "unit_square")
 
 
 def uniform_lshape_mesh(n):
@@ -269,19 +310,7 @@ def uniform_lshape_mesh(n):
     for j in range(nn, 0, -1):  # left side, downward
         edges.append((vid[0, j], vid[0, j - 1]))
 
-    triangles = [tuple(int(v) for v in tri) for tri in triangles]
-    edges = [(int(a), int(b)) for a, b in edges]
-    return _attach_boundary(vertices, triangles, edges, "l_shape")
-
-
-def _triangle_edge_set(triangles):
-    """Map sorted vertex pair -> list of the triangles containing it."""
-    incidence = {}
-    for t, tri in enumerate(triangles):
-        for l in range(3):
-            a, b = int(tri[l]), int(tri[(l + 1) % 3])
-            incidence.setdefault((min(a, b), max(a, b)), []).append(t)
-    return incidence
+    return Mesh(vertices, triangles, edges, edge_table(triangles).locate(edges)[1], "l_shape")
 
 
 def validate_mesh(mesh):
@@ -296,54 +325,47 @@ def validate_mesh(mesh):
     nv = mesh.num_vertices
     if nv == 0 or mesh.num_triangles == 0:
         raise MeshError("mesh has no vertices or no triangles")
-    if mesh.vertices.ndim != 2 or mesh.vertices.shape[1] != 2:
-        raise MeshError("vertices must be an (nv, 2) array")
-    bad = np.nonzero(~np.isfinite(mesh.vertices).all(axis=1))[0]
-    if bad.size:
-        raise MeshError(f"vertex {bad[0]} has non-finite coordinates {mesh.vertices[bad[0]]}")
+    shapes = (("vertices", "nv", 2), ("triangles", "nt", 3), ("boundary_edges", "nb", 2))
+    for name, rows, width in shapes:
+        if getattr(mesh, name).ndim != 2 or getattr(mesh, name).shape[1] != width:
+            raise MeshError(f"{name} must be an ({rows}, {width}) array")
+    finite = np.isfinite(mesh.vertices).all(axis=1)
+    _reject(~finite, lambda v: f"vertex {v} has non-finite coordinates {mesh.vertices[v]}")
     if mesh.triangles.min(initial=0) < 0 or mesh.triangles.max(initial=-1) >= nv:
         raise MeshError("triangle vertex index out of range")
     if mesh.boundary_edges.min(initial=0) < 0 or mesh.boundary_edges.max(initial=-1) >= nv:
         raise MeshError("boundary edge vertex index out of range")
     if mesh.boundary_triangles.shape != (mesh.num_boundary_edges,):
         raise MeshError("boundary_triangles must align with boundary_edges")
-
     areas = mesh.triangle_areas()
-    bad = np.nonzero(areas <= 0.0)[0]
-    if bad.size:
-        raise MeshError(f"triangle {bad[0]} is degenerate or clockwise (signed area {areas[bad[0]]})")
+    _reject(areas <= 0.0, lambda t: (
+        f"triangle {t} is degenerate or clockwise (signed area {areas[t]})"
+    ))
 
-    incidence = _triangle_edge_set(mesh.triangles)
-    listed = {}
-    for j, (a, b) in enumerate(mesh.boundary_edges):
-        key = (min(int(a), int(b)), max(int(a), int(b)))
-        if key in listed:
-            raise MeshError(f"boundary edge {j} duplicates boundary edge {listed[key]}")
-        listed[key] = j
-        hits = incidence.get(key, [])
-        if len(hits) == 0:
-            raise MeshError(f"boundary edge {j} = {key} belongs to no triangle (dangling)")
-        if len(hits) > 1:
-            raise MeshError(f"boundary edge {j} = {key} is shared by {len(hits)} triangles")
-        t = hits[0]
-        if t != mesh.boundary_triangles[j]:
-            raise MeshError(f"boundary edge {j}: recorded triangle {mesh.boundary_triangles[j]}, actual {t}")
-    for key, hits in incidence.items():
-        if len(hits) == 1 and key not in listed:
-            raise MeshError(f"edge {key} lies on the boundary but is missing from boundary_edges")
-        if len(hits) > 2:
-            raise MeshError(f"edge {key} is shared by {len(hits)} > 2 triangles")
+    table = edge_table(mesh.triangles)
+    found, owners = table.locate(mesh.boundary_edges)
+    _, first, inverse = np.unique(found, return_index=True, return_inverse=True)
+    first, recorded = first[inverse], mesh.boundary_triangles
+    repeated = first != np.arange(len(found))
+    _reject(repeated, lambda j: f"boundary edge {j} duplicates boundary edge {first[j]}")
+    _reject(owners != recorded, lambda j: (
+        f"boundary edge {j}: recorded triangle {recorded[j]}, actual {owners[j]}"
+    ))
+    edges, counts = table.edges, table.counts
+    _reject(counts > 2, lambda e: (
+        f"edge {tuple(edges[e].tolist())} is shared by {counts[e]} > 2 triangles"
+    ))
+    counts[found] = 0
+    _reject(counts == 1, lambda e: (
+        f"edge {tuple(edges[e].tolist())} lies on the boundary but is missing from boundary_edges"
+    ))
     boundary_local_edges(mesh)
 
-    heads = mesh.boundary_edges[:, 0]
-    tails = mesh.boundary_edges[:, 1]
-    if not np.array_equal(tails, np.roll(heads, -1)):
-        j = int(np.nonzero(tails != np.roll(heads, -1))[0][0])
-        raise MeshError(f"boundary loop breaks after edge {j}")
+    heads, tails = mesh.boundary_edges.T
+    _reject(tails != np.roll(heads, -1), lambda j: f"boundary loop breaks after edge {j}")
     if len(np.unique(heads)) != len(heads):
         raise MeshError("boundary loop visits a vertex twice (multiple loops?)")
-    p = mesh.vertices[heads]
-    q = mesh.vertices[tails]
+    p, q = mesh.vertices[heads], mesh.vertices[tails]
     if np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]) <= 0.0:
         raise MeshError("boundary loop is clockwise")
     return mesh
@@ -397,13 +419,8 @@ def read_mesh(path):
     if np.any(edges < 0) or np.any(edges >= len(vertices)):
         raise MeshError(f"mesh file {path}: boundary edge vertex index out of range")
 
-    incidence = _triangle_edge_set(triangles)
-    tris = []
-    for j, (a, b) in enumerate(edges):
-        hits = incidence.get((min(int(a), int(b)), max(int(a), int(b))), [])
-        if len(hits) != 1:
-            raise MeshError(f"mesh file {path}: boundary edge {j} belongs to {len(hits)} triangles")
-        tris.append(hits[0])
-
-    mesh = Mesh(vertices, triangles, edges, np.asarray(tris), domain=domain)
-    return validate_mesh(mesh)
+    try:
+        owners = edge_table(triangles).locate(edges)[1]
+    except MeshError as exc:
+        raise MeshError(f"mesh file {path}: {exc}") from None
+    return validate_mesh(Mesh(vertices, triangles, edges, owners, domain=domain))

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from steklov_certify.assembly import assemble_system
 from steklov_certify.bounds import (
     CR_GLOBAL_COEFF,
-    boundary_element_edges,
+    CR_TRACE_COEFF,
+    TRACE_SIMPLE_COEFF,
     certification_constant,
     certified_lower_bound,
     cr_error_constant,
@@ -20,6 +22,7 @@ from steklov_certify.bounds import (
 from steklov_certify.mesh import (
     Mesh,
     MeshError,
+    boundary_local_edges,
     element_geometry,
     uniform_lshape_mesh,
     uniform_square_mesh,
@@ -151,28 +154,49 @@ def test_trace_constant_simplified_dominates():
         assert trace_constant_bound(mesh) <= simple
 
 
-def test_boundary_element_edges_covers_every_boundary_edge():
-    for gen, n in [(uniform_square_mesh, 1), (uniform_square_mesh, 3), (uniform_lshape_mesh, 1)]:
-        mesh = gen(n)
-        pairs = list(boundary_element_edges(mesh))
-        assert len(pairs) == mesh.num_boundary_edges
-        assert len(set(pairs)) == len(pairs)
-        recovered = []
-        for j, (t, l) in enumerate(pairs):
-            tri = mesh.triangles[t]
-            recovered.append(tuple(sorted((int(tri[l]), int(tri[(l + 1) % 3])))))
-            assert t == mesh.boundary_triangles[j]
-        expected = [tuple(sorted(map(int, e))) for e in mesh.boundary_edges]
-        assert recovered == expected
-
-
 def test_corner_triangles_appear_once_per_edge():
+    """The two triangles of square n = 1 carry two boundary edges each;
+    the bound is the largest of the four (triangle, edge) constants."""
     mesh = uniform_square_mesh(1)
-    pairs = list(boundary_element_edges(mesh))
-    triangles = [t for t, _ in pairs]
-    # two triangles, two boundary edges each
-    assert sorted(triangles) == [0, 0, 1, 1]
+    assert sorted(mesh.boundary_triangles.tolist()) == [0, 0, 1, 1]
+    pairs = list(zip(mesh.boundary_triangles.tolist(), boundary_local_edges(mesh).tolist()))
     assert len(set(pairs)) == 4
+    values = [edge_trace_constant(element_geometry(mesh, t), l) for t, l in pairs]
+    assert trace_constant_bound(mesh) == max(values)
+
+
+def _loop_constants(mesh, first_cr_eigenvalue):
+    """The three mesh constants by a loop over element_geometry."""
+    trace = h_boundary = boundary_part = 0.0
+    for t, l in zip(mesh.boundary_triangles.tolist(), boundary_local_edges(mesh).tolist()):
+        geom = element_geometry(mesh, t)
+        trace = max(trace, float(edge_trace_constant(geom, l)))
+        h_boundary = max(h_boundary, geom.h_max)
+        boundary_part = max(boundary_part, geom.h_max / np.sqrt(geom.heights[l]))
+    root = 1.0 / np.sqrt(first_cr_eigenvalue)
+    full = CR_TRACE_COEFF * boundary_part + CR_GLOBAL_COEFF * root * mesh.h
+    return trace, TRACE_SIMPLE_COEFF * float(np.sqrt(h_boundary)), float(full)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        uniform_square_mesh(2),
+        uniform_square_mesh(8),
+        uniform_lshape_mesh(2),
+        uniform_lshape_mesh(8),
+        _triangle_mesh((0, 0), (1.5, 0), (0.3, 0.8)),
+    ],
+    ids=["square2", "square8", "lshape2", "lshape8", "scalene"],
+)
+def test_constants_equal_the_element_loop(mesh):
+    """The generated meshes repeat one boundary element; the lone
+    scalene triangle has three boundary edges with three different
+    constants, so it also checks which one the maximum picks."""
+    trace, simple, full = _loop_constants(mesh, 0.37)
+    assert trace_constant_bound(mesh) == trace
+    assert trace_constant_simplified(mesh) == simple
+    assert cr_error_constant(mesh, 0.37)[0] == full
 
 
 @pytest.mark.parametrize("edge", [(0, 8), (1, 0)])
@@ -181,10 +205,24 @@ def test_boundary_element_edges_rejects_bad_boundary_edge(edge):
     edges = mesh.boundary_edges.copy()
     edges[0] = edge
     bad = Mesh(mesh.vertices, mesh.triangles, edges, mesh.boundary_triangles)
+    for constant in (trace_constant_bound, trace_constant_simplified):
+        with pytest.raises(MeshError, match="boundary edge 0"):
+            constant(bad)
     with pytest.raises(MeshError, match="boundary edge 0"):
-        boundary_element_edges(bad)
-    with pytest.raises(MeshError, match="boundary edge 0"):
-        trace_constant_bound(bad)
+        cr_error_constant(bad, 1.0)
+
+
+@pytest.mark.parametrize("triangle", [999, -1])
+@pytest.mark.parametrize("consumer", [assemble_system, trace_constant_bound, boundary_local_edges])
+def test_out_of_range_boundary_triangle_is_a_mesh_error(consumer, triangle):
+    """A recorded triangle outside 0..nt-1 names its boundary edge
+    instead of indexing past (or, for -1, wrapping around) the table."""
+    mesh = uniform_square_mesh(2)
+    recorded = mesh.boundary_triangles.copy()
+    recorded[0] = triangle
+    bad = Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, recorded)
+    with pytest.raises(MeshError, match=f"boundary edge 0 .* triangle {triangle} "):
+        consumer(bad)
 
 
 # --- combination and the lower-bound map -------------------------------------

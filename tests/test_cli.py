@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from steklov_certify import bounds
 from steklov_certify.assembly import assemble_p1
-from steklov_certify.cli import main
+from steklov_certify.cli import certify_level, main
 from steklov_certify.mesh import read_mesh, uniform_square_mesh
 
 
@@ -268,3 +269,16 @@ def test_convergence_json_orders(capsys):
     assert len(orders) == 1
     assert orders[0]["upper"][0] is not None
     assert doc["plot_data"]["conforming"]["h"][0] == pytest.approx(np.sqrt(2.0) / 2.0)
+
+
+def test_certify_level_computes_trace_constants_once_per_mesh(monkeypatch):
+    calls = []
+    for name in ("trace_constant_bound", "trace_constant_simplified"):
+        original = getattr(bounds, name)
+        monkeypatch.setattr(
+            bounds, name, lambda mesh, _f=original, _n=name: calls.append(_n) or _f(mesh)
+        )
+    results = certify_level(uniform_square_mesh(4), 2, ("conforming", "cr"), None)
+    assert sorted(calls) == ["trace_constant_bound", "trace_constant_simplified"]
+    assert results[0].constants.trace_const == results[1].constants.trace_const
+    assert results[0].constants.trace_simple == results[1].constants.trace_simple

@@ -9,6 +9,7 @@ from steklov_certify.mesh import (
     Mesh,
     MeshError,
     boundary_local_edges,
+    edge_table,
     element_geometry,
     read_mesh,
     uniform_lshape_mesh,
@@ -200,13 +201,17 @@ def test_read_rejects_misoriented_triangle(tmp_path):
 
 
 def test_read_rejects_dangling_boundary_edge(tmp_path):
+    """(0, 8) lies in no triangle of square n = 2; (0, 4) is the interior
+    diagonal of its first cell."""
     mesh = uniform_square_mesh(2)
-    doc = _doc_of(mesh)
-    doc["boundary_edges"][0] = [0, 4]  # not an edge of any triangle
-    path = tmp_path / "dangling.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(MeshError):
-        read_mesh(path)
+    cases = [((0, 8), "belongs to no triangle"), ((0, 4), "is shared by 2 triangles")]
+    for edge, message in cases:
+        doc = _doc_of(mesh)
+        doc["boundary_edges"][0] = list(edge)
+        path = tmp_path / "dangling.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MeshError, match=rf"boundary edge 0 = \({edge[0]}, {edge[1]}\) {message}"):
+            read_mesh(path)
 
 
 def test_read_rejects_malformed_documents(tmp_path):
@@ -260,6 +265,84 @@ def test_validate_rejects_missing_boundary_edge():
     )
     with pytest.raises(MeshError):
         validate_mesh(bad)
+
+
+def _with_boundary(mesh, edges, triangles, extra_vertices=(), extra_triangles=()):
+    return Mesh(
+        np.vstack([mesh.vertices, np.reshape(extra_vertices, (-1, 2))]),
+        np.vstack([mesh.triangles, np.reshape(extra_triangles, (-1, 3))]),
+        edges,
+        triangles,
+    )
+
+
+def test_validate_rejects_duplicate_boundary_edge():
+    mesh = uniform_square_mesh(2)
+    edges, recorded = mesh.boundary_edges.copy(), mesh.boundary_triangles.copy()
+    edges[1], recorded[1] = edges[0], recorded[0]
+    with pytest.raises(MeshError, match="boundary edge 1 duplicates boundary edge 0"):
+        validate_mesh(_with_boundary(mesh, edges, recorded))
+
+
+def test_validate_rejects_edge_in_three_triangles():
+    """Square n = 1 plus a triangle (0, 4, 3) on its diagonal (0, 3)."""
+    mesh = uniform_square_mesh(1)
+    bad = _with_boundary(
+        mesh, mesh.boundary_edges, mesh.boundary_triangles, [2.0, 0.0], [0, 4, 3]
+    )
+    with pytest.raises(MeshError, match=r"edge \(0, 3\) is shared by 3 > 2 triangles"):
+        validate_mesh(bad)
+
+
+def test_validate_rejects_wrong_recorded_triangle():
+    mesh = uniform_square_mesh(2)
+    recorded = mesh.boundary_triangles.copy()
+    actual = recorded[0]
+    recorded[0] = (actual + 1) % mesh.num_triangles
+    message = f"boundary edge 0: recorded triangle {recorded[0]}, actual {actual}"
+    with pytest.raises(MeshError, match=message):
+        validate_mesh(_with_boundary(mesh, mesh.boundary_edges, recorded))
+
+
+def test_validate_rejects_interior_edge_listed_as_boundary():
+    """(0, 3) is the diagonal of square n = 1, inside both triangles."""
+    mesh = uniform_square_mesh(1)
+    edges = mesh.boundary_edges.copy()
+    edges[1] = (0, 3)
+    with pytest.raises(MeshError, match=r"boundary edge 1 = \(0, 3\) is shared by 2 triangles"):
+        validate_mesh(_with_boundary(mesh, edges, mesh.boundary_triangles))
+
+
+@pytest.mark.parametrize("gen", [uniform_square_mesh, uniform_lshape_mesh])
+def test_edge_table_matches_sorted_pairs_under_relabelling(gen, rng):
+    """The 1-D keys number the edges as np.unique over the sorted vertex
+    pairs does, also after a random vertex relabelling."""
+    mesh = gen(3)
+    for labels in (np.arange(mesh.num_vertices), rng.permutation(mesh.num_vertices)):
+        tris = labels[mesh.triangles]
+        pairs = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1), axis=-1)
+        edges, inverse = np.unique(pairs.reshape(-1, 2), axis=0, return_inverse=True)
+        table = edge_table(tris)
+        assert np.array_equal(table.edges, edges)
+        assert np.array_equal(table.tri_edges, inverse.reshape(tris.shape))
+        found, owners = table.locate(labels[mesh.boundary_edges])
+        assert np.array_equal(owners, mesh.boundary_triangles)
+        assert np.array_equal(table.edges[found], np.sort(labels[mesh.boundary_edges], axis=1))
+
+
+@pytest.mark.parametrize("field,width", [("triangles", 4), ("boundary_edges", 3)])
+def test_validate_rejects_wrong_array_width(field, width):
+    """A fourth triangle column used to be ignored silently."""
+    mesh = uniform_square_mesh(1)
+    arrays = dict(
+        vertices=mesh.vertices,
+        triangles=mesh.triangles,
+        boundary_edges=mesh.boundary_edges,
+        boundary_triangles=mesh.boundary_triangles,
+    )
+    arrays[field] = np.column_stack([arrays[field], arrays[field][:, :width - arrays[field].shape[1]]])
+    with pytest.raises(MeshError, match=rf"{field} must be an \(n., {width - 1}\) array"):
+        validate_mesh(Mesh(**arrays))
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf])

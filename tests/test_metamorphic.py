@@ -1,0 +1,115 @@
+"""Exact symmetries of the certified output.
+
+Renumbering the vertices or the triangles, starting each triangle at
+another vertex, rotating the mesh by 90 degrees and a JSON round trip
+describe the same discrete problem.  Each must leave the eigenvalues,
+the lower bounds and every constant of both methods unchanged to 1e-12
+relative.  The draws are seeded, so the suite is deterministic.
+"""
+
+import numpy as np
+import pytest
+
+from steklov_certify.cli import certify_level
+from steklov_certify.mesh import (
+    Mesh,
+    read_mesh,
+    uniform_lshape_mesh,
+    uniform_square_mesh,
+    validate_mesh,
+    write_mesh,
+)
+
+_RTOL = 1e-12
+_GENERATORS = {"square": uniform_square_mesh, "lshape": uniform_lshape_mesh}
+_CONSTANTS = ("trace_const", "trace_simple", "proj_const", "cert_const", "cr_const", "cr_simple")
+
+
+def _rebuild(mesh, vertices=None, triangles=None, boundary_edges=None, boundary_triangles=None):
+    return validate_mesh(
+        Mesh(
+            mesh.vertices if vertices is None else vertices,
+            mesh.triangles if triangles is None else triangles,
+            mesh.boundary_edges if boundary_edges is None else boundary_edges,
+            mesh.boundary_triangles if boundary_triangles is None else boundary_triangles,
+            domain=mesh.domain,
+        )
+    )
+
+
+def _permute_vertices(mesh, rng, tmp_path):
+    label = rng.permutation(mesh.num_vertices)  # old vertex v becomes label[v]
+    vertices = np.empty_like(mesh.vertices)
+    vertices[label] = mesh.vertices
+    return _rebuild(mesh, vertices, label[mesh.triangles], label[mesh.boundary_edges])
+
+
+def _permute_triangles(mesh, rng, tmp_path):
+    order = rng.permutation(mesh.num_triangles)  # new triangle i is old order[i]
+    position = np.argsort(order)
+    return _rebuild(
+        mesh, triangles=mesh.triangles[order], boundary_triangles=position[mesh.boundary_triangles]
+    )
+
+
+def _shift_triangle_vertices(mesh, rng, tmp_path):
+    shift = rng.integers(0, 3, mesh.num_triangles)
+    columns = (np.arange(3)[None, :] + shift[:, None]) % 3
+    return _rebuild(mesh, triangles=np.take_along_axis(mesh.triangles, columns, axis=1))
+
+
+def _rotate_quarter_turn(mesh, rng, tmp_path):
+    centre = mesh.vertices.mean(axis=0)
+    d = mesh.vertices - centre
+    return _rebuild(mesh, vertices=centre + np.column_stack([-d[:, 1], d[:, 0]]))
+
+
+def _json_round_trip(mesh, rng, tmp_path):
+    path = tmp_path / "mesh.json"
+    write_mesh(mesh, path)
+    return read_mesh(path)
+
+
+_TRANSFORMS = {
+    "vertex_permutation": _permute_vertices,
+    "triangle_permutation": _permute_triangles,
+    "cyclic_vertex_shift": _shift_triangle_vertices,
+    "quarter_turn": _rotate_quarter_turn,
+    "json_round_trip": _json_round_trip,
+}
+
+
+def _certify(mesh):
+    return certify_level(mesh, 3, ("conforming", "cr"), None)
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    cache = {}
+
+    def get(domain):
+        if domain not in cache:
+            mesh = _GENERATORS[domain](8)
+            cache[domain] = (mesh, _certify(mesh))
+        return cache[domain]
+
+    return get
+
+
+@pytest.mark.parametrize("transform", sorted(_TRANSFORMS))
+@pytest.mark.parametrize("domain", sorted(_GENERATORS))
+def test_certified_output_is_invariant(domain, transform, baseline, tmp_path):
+    mesh, expected = baseline(domain)
+    moved = _TRANSFORMS[transform](mesh, np.random.default_rng(0), tmp_path)
+    got = _certify(moved)
+    assert [r.method for r in got] == [r.method for r in expected] == ["conforming", "cr"]
+    for new, old in zip(got, expected):
+        assert new.dof == old.dof
+        np.testing.assert_allclose(new.eigenvalues, old.eigenvalues, rtol=_RTOL, atol=0)
+        np.testing.assert_allclose(new.lower_bounds, old.lower_bounds, rtol=_RTOL, atol=0)
+        for name in _CONSTANTS:
+            value, reference = getattr(new.constants, name), getattr(old.constants, name)
+            if reference is None:
+                assert value is None, name
+            else:
+                np.testing.assert_allclose(value, reference, rtol=_RTOL, atol=0, err_msg=name)

@@ -212,6 +212,14 @@ def test_default_path_boundary_form_matches_record(gen):
     assert np.array_equal(default.vectors, with_matrix.vectors)
 
 
+@pytest.mark.parametrize("solve", [solve_steklov_p1, solve_steklov_cr])
+@pytest.mark.parametrize("k", [-1, 0])
+def test_k_below_one_is_rejected(square4, solve, k):
+    """k = -1 used to return all but the last eigenvalue, k = 0 none."""
+    with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+        solve(square4, k)
+
+
 def test_solver_is_deterministic(square4):
     a = solve_steklov_p1(square4, 3)
     b = solve_steklov_p1(square4, 3)
