@@ -54,7 +54,7 @@ from .assembly import (
     rt_values_at_quadrature,
     scatter_csr,
 )
-from .linalg import CholeskyFactor, LinearAlgebraError, general_sym_eig
+from .linalg import _RHS_CHUNK, CholeskyFactor, LinearAlgebraError, general_sym_eig
 
 __all__ = [
     "EquilibrationSolver",
@@ -66,7 +66,7 @@ __all__ = [
 
 _ROUTE_TOL = 1e-9
 _RESIDUAL_TOL = 1e-10
-_BLOCK = 32  # right-hand sides per multiplier solve in constant()
+_BLOCK = _RHS_CHUNK  # right-hand sides per block of constant(): one solve chunk
 
 
 class IncompatibleDataError(ValueError):

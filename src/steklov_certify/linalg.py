@@ -15,11 +15,10 @@ and the interior block of every eigen pencil.  SaddleFactor, a pivoted
 sparse LU of a symmetric indefinite matrix, is not used by the
 certification pipeline; it solves the unhybridized flux KKT system that
 the test suite keeps as an oracle, and perfbench traces it.  The only
-dense matrices are the Schur complement on the support of B, whose size
-is the number of boundary dofs, and the solution block of its |support|
-right-hand sides; LAPACK eigh runs on the former.  Solutions are
-verified against a residual tolerance and rejected loudly rather than
-returned silently wrong.
+dense matrix is the Schur complement on the support of B, whose size is
+the number of boundary dofs; LAPACK eigh runs on it.  Every solution
+column is verified against a residual tolerance and rejected loudly
+rather than returned silently wrong.
 """
 
 from __future__ import annotations
@@ -43,6 +42,10 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-10
 _RANK_TOL = 1e-12
+# right-hand sides per SuperLU call: its triangular solves slow down per
+# column on wide blocks, and every column's result is independent of
+# the block it is solved in
+_RHS_CHUNK = 16
 
 
 class LinearAlgebraError(RuntimeError):
@@ -62,12 +65,18 @@ def _dense(a):
 
 
 def _check_residual(apply_op, x, b, what):
-    bn = np.linalg.norm(b)
-    if bn == 0.0:
-        return
-    rel = np.linalg.norm(apply_op(x) - b) / bn
-    if not rel <= _RESIDUAL_TOL:
-        raise LinearAlgebraError(f"{what}: relative residual {rel:.3e} exceeds {_RESIDUAL_TOL:.0e}")
+    """Each column's residual against _RESIDUAL_TOL times that column's
+    norm, so a small column cannot hide behind large ones; a zero column
+    must come back with zero residual."""
+    res = np.linalg.norm((apply_op(x) - b).reshape(len(b), -1), axis=0)
+    bn = np.linalg.norm(b.reshape(len(b), -1), axis=0)
+    bad = np.flatnonzero(~(res <= _RESIDUAL_TOL * bn))
+    if bad.size:
+        j = bad[0]
+        rel = res[j] / bn[j] if bn[j] > 0.0 else np.inf
+        raise LinearAlgebraError(
+            f"{what}: relative residual {rel:.3e} of column {j} exceeds {_RESIDUAL_TOL:.0e}"
+        )
 
 
 class CholeskyFactor:
@@ -78,8 +87,13 @@ class CholeskyFactor:
     P a P^T = L U with U = D L^T, so by Sylvester's law of inertia a is
     positive definite exactly when no row was swapped and every pivot
     (diagonal of U) is positive; anything else raises
-    NotPositiveDefiniteError.  Each solve takes one step of iterative
-    refinement and checks the residual.
+    NotPositiveDefiniteError.
+
+    A solve is one SuperLU pass, in chunks of _RHS_CHUNK columns, and
+    every column's residual is checked.  It takes no refinement step: on
+    the edge-multiplier system of the flux equilibration a second pass
+    does not lower the residual.  general_sym_eig refines its own
+    interior solves, where eigenvector accuracy needs it.
     """
 
     def __init__(self, a):
@@ -103,8 +117,13 @@ class CholeskyFactor:
 
     def solve(self, b):
         b = _dense(b)
-        x = self._lu.solve(b)
-        x += self._lu.solve(b - self._a @ x)
+        if b.ndim == 1:
+            x = self._lu.solve(b)
+        else:
+            x = np.empty(b.shape)
+            for start in range(0, b.shape[1], _RHS_CHUNK):
+                cols = slice(start, start + _RHS_CHUNK)
+                x[:, cols] = self._lu.solve(b[:, cols])
         _check_residual(lambda v: self._a @ v, x, b, "Cholesky solve")
         return x
 
@@ -172,9 +191,14 @@ def general_sym_eig(a, b, k=None, which="smallest"):
     which="largest" selects from the top of the finite spectrum.
 
     Only the |support| x |support| blocks are dense: the interior block
-    of a is factored sparsely (CholeskyFactor) and solved for the
-    |support| columns of the coupling block.  The one exception is a b
-    whose support is every dof, which is densified whole.
+    a_ii of a is factored sparsely (CholeskyFactor), the Schur complement
+    is built _RHS_CHUNK support columns at a time, and the interior part
+    -a_ii^{-1} (a_ib w) is solved for the k selected eigenvectors only.
+    These interior solves take one step of iterative refinement, which
+    CholeskyFactor.solve leaves out: it keeps each eigenvalue at
+    roundoff from the Rayleigh quotient of its own vector.  The one
+    exception is a b whose support is every dof, which is densified
+    whole.
     """
     if which not in ("smallest", "largest"):
         raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
@@ -207,14 +231,21 @@ def general_sym_eig(a, b, k=None, which="smallest"):
     if idx_i.size:
         a_i = a_sp[idx_i]
         a_ib = a_i[:, idx_b]
+        a_ii = a_i[:, idx_i]
         try:
-            factor = CholeskyFactor(a_i[:, idx_i])
+            factor = CholeskyFactor(a_ii)
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(f"interior block of a: {exc}") from exc
-        x = factor.solve(a_ib)
-        a_schur -= a_ib.T @ x
-    else:
-        x = np.zeros((0, idx_b.size))
+
+        def interior_solve(rhs):
+            rhs = _dense(rhs)
+            x = factor.solve(rhs)
+            x += factor.solve(rhs - a_ii @ x)
+            return x
+
+        for start in range(0, idx_b.size, _RHS_CHUNK):
+            cols = slice(start, start + _RHS_CHUNK)
+            a_schur[:, cols] -= a_ib.T @ interior_solve(a_ib[:, cols])
     a_schur = 0.5 * (a_schur + a_schur.T)
     b_bb = _dense(b_sp[idx_b][:, idx_b])
 
@@ -230,10 +261,10 @@ def general_sym_eig(a, b, k=None, which="smallest"):
     finite = mu > _RANK_TOL * mu_max
 
     mu_f = mu[finite][::-1]  # ascending lambda = 1/mu
-    w_f = w[:, finite][:, ::-1]
-    values = 1.0 / mu_f
-    scale = 1.0 / np.sqrt(mu_f)
-    vectors = np.zeros((n, len(mu_f)))
-    vectors[idx_b] = w_f * scale[None, :]
-    vectors[idx_i] = -x @ vectors[idx_b]
-    return EigenResult(*_select(values, vectors, k, which), len(mu_f), support)
+    w_f = w[:, finite][:, ::-1] * (1.0 / np.sqrt(mu_f))[None, :]
+    values, w_k = _select(1.0 / mu_f, w_f, k, which)
+    vectors = np.zeros((n, w_k.shape[1]))
+    vectors[idx_b] = w_k
+    if idx_i.size:
+        vectors[idx_i] = -interior_solve(a_ib @ w_k)
+    return EigenResult(values, vectors, len(mu_f), support)

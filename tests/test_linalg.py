@@ -13,7 +13,8 @@ from steklov_certify.linalg import (
     SingularSystemError,
     general_sym_eig,
 )
-from steklov_certify.mesh import uniform_square_mesh
+from steklov_certify.mesh import uniform_lshape_mesh, uniform_square_mesh
+from steklov_certify.steklov import assemble_cr
 
 from oracles import dense_pencil_eigenvalues, kkt_matrix
 
@@ -49,6 +50,55 @@ def test_solve_spd_multiple_rhs(rng):
     x = CholeskyFactor(a).solve(b)
     assert x.shape == (20, 3)
     assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+class _SuperLUSpy:
+    """Stands in for the SuperLU object of a CholeskyFactor: records the
+    width of every solve and adds `error` to one column of its result."""
+
+    def __init__(self, lu, column=0, error=0.0):
+        self._lu, self.column, self.error = lu, column, error
+        self.widths = []
+
+    def solve(self, b):
+        self.widths.append(b.shape[1] if b.ndim == 2 else 1)
+        x = self._lu.solve(b)
+        x[:, self.column] += self.error
+        return x
+
+
+def test_solve_in_chunks_matches_single_column_solves(system_square4, rng):
+    """Chunking changes no column: 37 right-hand sides at once equal 37
+    one-column solves bit for bit, and every input shape is kept."""
+    factor = CholeskyFactor(system_square4.stiffness + system_square4.mass)
+    n = system_square4.dofs.dim_p1
+    b = rng.standard_normal((n, 37))
+    x = factor.solve(b)
+    assert x.shape == (n, 37)
+    assert factor.solve(b[:, 0]).shape == (n,)
+    assert factor.solve(b[:, :1]).shape == (n, 1)
+    assert np.array_equal(x, np.column_stack([factor.solve(b[:, j]) for j in range(37)]))
+
+
+def test_solve_is_one_superlu_pass_in_chunks_of_16(system_square4, rng):
+    factor = CholeskyFactor(system_square4.stiffness + system_square4.mass)
+    spy = factor._lu = _SuperLUSpy(factor._lu)
+    factor.solve(rng.standard_normal((system_square4.dofs.dim_p1, 37)))
+    assert spy.widths == [16, 16, 5]
+
+
+@pytest.mark.parametrize("scale, error", [(1e-8, 3e-11), (0.0, 1e-20)])
+def test_residual_check_is_per_column(system_square4, rng, scale, error):
+    """A column 1e-8 of its neighbour's size with a 1e-3 relative error,
+    or a zero column with a nonzero solution, fails the check although
+    the residual of the whole block is far below the tolerance."""
+    factor = CholeskyFactor(system_square4.stiffness + system_square4.mass)
+    b = rng.standard_normal((system_square4.dofs.dim_p1, 2))
+    b[:, 1] *= scale
+    factor.solve(b)
+    factor._lu = _SuperLUSpy(factor._lu, column=1, error=error)
+    with pytest.raises(LinearAlgebraError, match="column 1"):
+        factor.solve(b)
 
 
 def test_solve_spd_rejects_indefinite():
@@ -162,6 +212,20 @@ def test_eig_orthonormality_and_residual(system_square2):
         residual = a @ v[:, j] - lam * (b @ v[:, j])
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(a @ v[:, j])
     assert np.all(np.diff(result.values) >= -1e-14)
+
+
+def test_eig_returns_only_the_selected_vectors():
+    """With k given, only k vectors are formed; the finite count and the
+    selected pairs are those of the full finite spectrum."""
+    stiffness, mass, boundary_form, _ = assemble_cr(uniform_lshape_mesh(4))
+    a = stiffness + mass
+    every = general_sym_eig(a, boundary_form)
+    three = general_sym_eig(a, boundary_form, k=3)
+    assert three.vectors.shape == (a.shape[0], 3)
+    assert every.vectors.shape == (a.shape[0], every.n_finite)
+    assert three.n_finite == every.n_finite
+    assert np.array_equal(three.values, every.values[:3])
+    assert np.allclose(three.vectors, every.vectors[:, :3], rtol=0.0, atol=1e-13)
 
 
 def test_eig_largest_selection():
