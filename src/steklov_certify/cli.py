@@ -119,9 +119,7 @@ def certify_level(mesh, k, methods, references, n=None, dump_dir=None):
             _dump_matrices(system, dump_dir)
         proj = EquilibrationSolver(system).constant()
         cert = bnd.certification_constant(trace_const, proj.value)
-        spectrum = solve_steklov_p1(
-            mesh, k, operators=(system.stiffness, system.mass, system.vertex_boundary_mass)
-        )
+        spectrum = solve_steklov_p1(mesh, k)
         results.append(level("conforming", spectrum, cert, proj_const=proj.value, cert_const=cert))
     if "cr" in methods:
         spectrum = solve_steklov_cr(mesh, k)

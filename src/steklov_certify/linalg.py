@@ -1,12 +1,12 @@
 """Sparse direct solvers plus a generalized symmetric eigensolver.
 
 The eigensolver handles pencils (A, B) with A symmetric positive definite
-and B symmetric positive semidefinite, the shape of every pencil in this
-package.  When B is only semidefinite its kernel directions carry no
-finite eigenvalues; the solver eliminates the structural zero rows of B
-with a Schur complement of A and solves the reduced reciprocal problem
-B* w = mu A* w, so the finite eigenvalues are returned exactly once and
-with B-orthonormal eigenvectors.
+and B symmetric positive semidefinite, the shape of both Steklov
+pencils.  The kernel directions of B carry no finite eigenvalues; the
+solver eliminates the structural zero rows of B with a Schur complement
+of A and solves the reduced reciprocal problem B* w = mu A* w, so the
+smallest finite eigenvalues are returned exactly once and with
+B-orthonormal eigenvectors.
 
 Factorizations are deterministic sparse direct methods.  A symmetric
 SuperLU factor serves every positive definite system: the conforming
@@ -154,12 +154,11 @@ class SaddleFactor:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Selected eigenpairs of a symmetric pencil.
+    """The smallest finite eigenpairs of a symmetric pencil.
 
-    values are ascending for which="smallest" selections and descending
-    for which="largest"; vectors (columns) are B-orthonormal; n_finite is
-    the total number of finite eigenvalues of the pencil; support lists
-    the dofs where B has a nonzero row.
+    values are ascending; vectors (columns) are B-orthonormal; n_finite
+    is the total number of finite eigenvalues of the pencil; support
+    lists the dofs where B has a nonzero row.
     """
 
     values: np.ndarray
@@ -168,27 +167,16 @@ class EigenResult:
     support: np.ndarray
 
 
-def _select(values, vectors, k, which):
-    """The k (default: all) smallest or largest of the finite eigenpairs."""
-    k = len(values) if k is None else k
-    if k > len(values):
-        raise LinearAlgebraError(f"requested {k} eigenpairs, pencil has {len(values)} finite ones")
-    if which == "smallest":
-        return values[:k], vectors[:, :k]
-    return values[::-1][:k], vectors[:, ::-1][:, :k]
+def general_sym_eig(a, b, k=None):
+    """The k (default: all) smallest finite eigenpairs of a x = lambda b x.
 
-
-def general_sym_eig(a, b, k=None, which="smallest"):
-    """Finite eigenpairs of the symmetric pencil a x = lambda b x.
-
-    Accepts either a positive definite b (a anything symmetric) or a
-    positive semidefinite b together with an SPD a.  Structural zero rows
-    of b are eliminated exactly: with the dofs split into the support of
-    b and its complement, the Schur complement of a on the support block
-    turns the pencil into b* w = mu a* w with a* SPD, whose positive mu
-    are the reciprocals of the finite lambda; the same reciprocal route
-    handles a b that spans every dof but is still singular.  Requesting
-    which="largest" selects from the top of the finite spectrum.
+    a is symmetric positive definite and b symmetric positive
+    semidefinite.  Structural zero rows of b are eliminated exactly: with
+    the dofs split into the support of b and its complement, the Schur
+    complement of a on the support block turns the pencil into
+    b* w = mu a* w with a* SPD, whose positive mu are the reciprocals of
+    the finite lambda.  A b that spans every dof leaves no interior, and
+    a* is a itself.
 
     Only the |support| x |support| blocks are dense: the interior block
     a_ii of a is factored sparsely (CholeskyFactor), the Schur complement
@@ -196,12 +184,8 @@ def general_sym_eig(a, b, k=None, which="smallest"):
     -a_ii^{-1} (a_ib w) is solved for the k selected eigenvectors only.
     These interior solves take one step of iterative refinement, which
     CholeskyFactor.solve leaves out: it keeps each eigenvalue at
-    roundoff from the Rayleigh quotient of its own vector.  The one
-    exception is a b whose support is every dof, which is densified
-    whole.
+    roundoff from the Rayleigh quotient of its own vector.
     """
-    if which not in ("smallest", "largest"):
-        raise ValueError(f"which must be 'smallest' or 'largest', got {which!r}")
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     b_sp = sp.csr_matrix(b)
@@ -210,17 +194,6 @@ def general_sym_eig(a, b, k=None, which="smallest"):
     support = np.unique(b_sp.indices) if b_sp.nnz else np.array([], dtype=np.int64)
     if support.size == 0:
         raise LinearAlgebraError("b is zero: the pencil has no finite eigenvalues")
-
-    if support.size == n:
-        # full structural support: when b is actually positive definite
-        # the pencil is a plain dense problem; a singular b falls through
-        # to the reciprocal formulation below, which only needs a SPD.
-        try:
-            values, vectors = sla.eigh(_dense(a), _dense(b), check_finite=False)
-        except sla.LinAlgError:
-            pass
-        else:
-            return EigenResult(*_select(values, vectors, k, which), n, support)
 
     idx_b = support
     interior = np.ones(n, dtype=bool)
@@ -260,11 +233,15 @@ def general_sym_eig(a, b, k=None, which="smallest"):
         raise LinearAlgebraError(f"b is indefinite (most negative direction {mu[0]:.3e})")
     finite = mu > _RANK_TOL * mu_max
 
-    mu_f = mu[finite][::-1]  # ascending lambda = 1/mu
-    w_f = w[:, finite][:, ::-1] * (1.0 / np.sqrt(mu_f))[None, :]
-    values, w_k = _select(1.0 / mu_f, w_f, k, which)
+    n_finite = int(np.count_nonzero(finite))
+    k = n_finite if k is None else k
+    if k > n_finite:
+        raise LinearAlgebraError(f"requested {k} eigenpairs, pencil has {n_finite} finite ones")
+    mu_k = mu[finite][::-1][:k]  # ascending lambda = 1/mu
+    values = 1.0 / mu_k
+    w_k = w[:, finite][:, ::-1][:, :k] * (1.0 / np.sqrt(mu_k))[None, :]
     vectors = np.zeros((n, w_k.shape[1]))
     vectors[idx_b] = w_k
     if idx_i.size:
         vectors[idx_i] = -interior_solve(a_ib @ w_k)
-    return EigenResult(values, vectors, len(mu_f), support)
+    return EigenResult(values, vectors, n_finite, support)

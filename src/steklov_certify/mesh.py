@@ -322,6 +322,12 @@ def validate_mesh(mesh):
     triangle and its orientation), and a single counterclockwise
     boundary loop.
     """
+    return _validate(mesh, None)
+
+
+def _validate(mesh, table):
+    """validate_mesh, reusing the edge table of mesh.triangles when the
+    caller has built it (None: build it here)."""
     nv = mesh.num_vertices
     if nv == 0 or mesh.num_triangles == 0:
         raise MeshError("mesh has no vertices or no triangles")
@@ -342,7 +348,7 @@ def validate_mesh(mesh):
         f"triangle {t} is degenerate or clockwise (signed area {areas[t]})"
     ))
 
-    table = edge_table(mesh.triangles)
+    table = edge_table(mesh.triangles) if table is None else table
     found, owners = table.locate(mesh.boundary_edges)
     _, first, inverse = np.unique(found, return_index=True, return_inverse=True)
     first, recorded = first[inverse], mesh.boundary_triangles
@@ -419,8 +425,9 @@ def read_mesh(path):
     if np.any(edges < 0) or np.any(edges >= len(vertices)):
         raise MeshError(f"mesh file {path}: boundary edge vertex index out of range")
 
+    table = edge_table(triangles)
     try:
-        owners = edge_table(triangles).locate(edges)[1]
+        owners = table.locate(edges)[1]
     except MeshError as exc:
         raise MeshError(f"mesh file {path}: {exc}") from None
-    return validate_mesh(Mesh(vertices, triangles, edges, owners, domain=domain))
+    return _validate(Mesh(vertices, triangles, edges, owners, domain=domain), table)

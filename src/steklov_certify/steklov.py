@@ -72,26 +72,23 @@ def _fix_signs(vectors, support):
     return out
 
 
-def solve_steklov_p1(mesh, k, operators=None):
-    """The k smallest conforming P1 Steklov eigenvalues of the mesh.
-
-    operators may carry the preassembled (stiffness, mass,
-    vertex_boundary_mass) matrices to avoid reassembly.
-    """
-    if operators is None:
-        stiffness, mass = assemble_p1(mesh)
-        boundary_mass = assemble_boundary(mesh).vertex_boundary_mass
-    else:
-        stiffness, mass, boundary_mass = operators
-    result = general_sym_eig(stiffness + mass, boundary_mass, k=k, which="smallest")
-    vectors = _fix_signs(result.vectors, result.support)
+def _spectrum(method, a, boundary_form, k):
+    """The k smallest eigenpairs of the pencil (a, boundary_form), signs fixed."""
+    result = general_sym_eig(a, boundary_form, k=k)
     return SteklovSpectrum(
-        method="conforming",
+        method=method,
         values=result.values,
-        vectors=vectors,
+        vectors=_fix_signs(result.vectors, result.support),
         n_finite=result.n_finite,
         groups=degenerate_groups(result.values),
     )
+
+
+def solve_steklov_p1(mesh, k):
+    """The k smallest conforming P1 Steklov eigenvalues of the mesh."""
+    stiffness, mass = assemble_p1(mesh)
+    boundary_mass = assemble_boundary(mesh).vertex_boundary_mass
+    return _spectrum("conforming", stiffness + mass, boundary_mass, k)
 
 
 def assemble_cr(mesh):
@@ -139,16 +136,8 @@ def assemble_cr(mesh):
 
 def solve_steklov_cr(mesh, k):
     """The k smallest Crouzeix-Raviart Steklov eigenvalues of the mesh."""
-    stiffness, mass, boundary_form, dofs = assemble_cr(mesh)
-    result = general_sym_eig(stiffness + mass, boundary_form, k=k, which="smallest")
-    vectors = _fix_signs(result.vectors, result.support)
-    return SteklovSpectrum(
-        method="cr",
-        values=result.values,
-        vectors=vectors,
-        n_finite=result.n_finite,
-        groups=degenerate_groups(result.values),
-    )
+    stiffness, mass, boundary_form, _ = assemble_cr(mesh)
+    return _spectrum("cr", stiffness + mass, boundary_form, k)
 
 
 def rayleigh_quotient(stiffness, mass, boundary_form, v):

@@ -440,9 +440,7 @@ def test_criterion_8_small_problem_cross_checks():
         assert mesh.num_vertices <= 200
         stiffness, mass = assemble_p1(mesh)
         boundary = assemble_boundary(mesh)
-        spectrum = solve_steklov_p1(
-            mesh, 3, operators=(stiffness, mass, boundary.vertex_boundary_mass)
-        )
+        spectrum = solve_steklov_p1(mesh, 3)
         oracle = dense_pencil_eigenvalues(
             (stiffness + mass).toarray(), boundary.vertex_boundary_mass.toarray()
         )

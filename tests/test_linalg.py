@@ -228,19 +228,34 @@ def test_eig_returns_only_the_selected_vectors():
     assert np.allclose(three.vectors, every.vectors[:, :3], rtol=0.0, atol=1e-13)
 
 
-def test_eig_largest_selection():
-    a = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-    b = sp.csr_matrix(np.eye(3))
-    result = general_sym_eig(a, b, k=2, which="largest")
-    assert np.allclose(result.values, [3.0, 2.0], atol=1e-14)
+@pytest.mark.parametrize("method", ["p1", "cr"])
+def test_eig_full_support_pencils_match_dense_oracle(method):
+    """P1 on square n = 1 and CR on square n = 2 have every dof in the
+    support of b: the Schur route runs with an empty interior."""
+    if method == "p1":
+        system = assemble_system(uniform_square_mesh(1))
+        a = system.stiffness + system.mass
+        b = system.vertex_boundary_mass
+    else:
+        stiffness, mass, b, _ = assemble_cr(uniform_square_mesh(2))
+        a = stiffness + mass
+    result = general_sym_eig(a, b)
+    expected = dense_pencil_eigenvalues(a.toarray(), b.toarray())
+    assert np.array_equal(result.support, np.arange(a.shape[0]))
+    assert result.n_finite == len(expected)
+    assert np.allclose(result.values, expected, rtol=1e-10, atol=0.0)
+
+
+def test_eig_rejects_indefinite_a_with_definite_b():
+    a = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NotPositiveDefiniteError, match="Schur complement"):
+        general_sym_eig(a, sp.csr_matrix(np.eye(2)), k=1)
 
 
 def test_eig_error_cases():
     a = sp.csr_matrix(np.eye(2))
     with pytest.raises(LinearAlgebraError, match="zero"):
         general_sym_eig(a, sp.csr_matrix((2, 2)), k=1)
-    with pytest.raises(ValueError, match="which"):
-        general_sym_eig(a, sp.csr_matrix(np.eye(2)), k=1, which="middle")
     with pytest.raises(LinearAlgebraError, match="requested"):
         general_sym_eig(a, sp.csr_matrix(np.diag([1.0, 0.0])), k=2)
     indefinite = sp.csr_matrix(np.diag([1.0, -1.0]))

@@ -181,6 +181,24 @@ def test_roundtrip_lshape(tmp_path):
     assert back.domain == "l_shape"
 
 
+def test_read_builds_the_edge_table_once(tmp_path, monkeypatch):
+    """read_mesh locates the boundary edges and validates the mesh with
+    one edge table."""
+    import steklov_certify.mesh as mesh_module
+
+    calls = []
+
+    def counting(triangles):
+        calls.append(len(triangles))
+        return edge_table(triangles)
+
+    path = tmp_path / "square4.json"
+    write_mesh(uniform_square_mesh(4), path)
+    monkeypatch.setattr(mesh_module, "edge_table", counting)
+    read_mesh(path)
+    assert calls == [32]
+
+
 def _doc_of(mesh):
     return {
         "domain": mesh.domain,

@@ -1,10 +1,11 @@
 """Exact symmetries of the certified output.
 
 Renumbering the vertices or the triangles, starting each triangle at
-another vertex, rotating the mesh by 90 degrees and a JSON round trip
-describe the same discrete problem.  Each must leave the eigenvalues,
-the lower bounds and every constant of both methods unchanged to 1e-12
-relative.  The draws are seeded, so the suite is deterministic.
+another vertex, rotating the mesh by 90 degrees or by 0.3 rad, a
+reflection, a translation and a JSON round trip describe the same
+discrete problem.  Each must leave the eigenvalues, the lower bounds and
+every constant of both methods unchanged to 1e-12 relative.  The draws
+are seeded, so the suite is deterministic.
 """
 
 import numpy as np
@@ -64,6 +65,31 @@ def _rotate_quarter_turn(mesh, rng, tmp_path):
     return _rebuild(mesh, vertices=centre + np.column_stack([-d[:, 1], d[:, 0]]))
 
 
+def _rotate_arbitrary_angle(mesh, rng, tmp_path):
+    centre = mesh.vertices.mean(axis=0)
+    c, s = np.cos(0.3), np.sin(0.3)
+    return _rebuild(mesh, vertices=centre + (mesh.vertices - centre) @ np.array([[c, s], [-s, c]]))
+
+
+def _reflect(mesh, rng, tmp_path):
+    """Mirror x about the vertex centroid.  Each triangle swaps two
+    vertices to stay counterclockwise, and the boundary loop runs
+    backwards."""
+    vertices = mesh.vertices.copy()
+    vertices[:, 0] = 2.0 * vertices[:, 0].mean() - vertices[:, 0]
+    return _rebuild(
+        mesh,
+        vertices,
+        mesh.triangles[:, [0, 2, 1]],
+        mesh.boundary_edges[::-1, ::-1],
+        mesh.boundary_triangles[::-1],
+    )
+
+
+def _translate(mesh, rng, tmp_path):
+    return _rebuild(mesh, vertices=mesh.vertices + np.array([0.3, -1.7]))
+
+
 def _json_round_trip(mesh, rng, tmp_path):
     path = tmp_path / "mesh.json"
     write_mesh(mesh, path)
@@ -75,6 +101,9 @@ _TRANSFORMS = {
     "triangle_permutation": _permute_triangles,
     "cyclic_vertex_shift": _shift_triangle_vertices,
     "quarter_turn": _rotate_quarter_turn,
+    "rotation_0.3_rad": _rotate_arbitrary_angle,
+    "reflection": _reflect,
+    "translation": _translate,
     "json_round_trip": _json_round_trip,
 }
 
