@@ -38,6 +38,8 @@ compatibility residual.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +57,7 @@ from .assembly import (
     rt_values_at_quadrature,
     scatter_csr,
 )
-from .linalg import _RHS_CHUNK, CholeskyFactor, LinearAlgebraError
+from .linalg import CholeskyFactor, LinearAlgebraError
 
 __all__ = [
     "EquilibrationSolver",
@@ -67,7 +69,15 @@ __all__ = [
 
 _ROUTE_TOL = 1e-9
 _RESIDUAL_TOL = 1e-10
-_BLOCK = _RHS_CHUNK  # right-hand sides per block of constant(): one solve chunk
+# constant() solves the trace basis in blocks of _BLOCK columns on up to
+# _WORKERS threads (SuperLU releases the GIL).  The width is fixed
+# whatever the worker count, so the quad form is the same bits on any
+# host; at 8, two blocks in flight hold the 16 columns of one serial
+# chunk, while two 16-column blocks raised peak RSS by over 10%
+_BLOCK = 8
+_WORKERS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 class IncompatibleDataError(ValueError):
@@ -186,19 +196,21 @@ class EquilibrationSolver:
             )
         return g
 
-    def _multipliers(self, loads, traces):
+    def _multipliers(self, loads, traces, solve):
         """Broken multipliers lam (3 nt, k) and edge multipliers mu
         (n_edge, k) of the hybridized flux system, for element loads
         (3 nt, k), the products of the broken hats with u - c, and
         outward normal traces (n_edge, k) on the boundary edges.
+        solve is the edge factor's solve or, on a worker thread, _solve.
 
         Raises LinearAlgebraError when the dropped equation of the
         pinned multiplier is violated, i.e. when the mean shift inside
         the loads does not make the data compatible.
         """
-        rhs = self._load_to_edge @ loads - traces
+        rhs = self._load_to_edge @ loads
+        rhs -= traces
         mu = np.zeros(rhs.shape)
-        mu[self._free] = self._edges.solve(rhs[self._free])
+        mu[self._free] = solve(rhs[self._free])
         dropped = np.abs(self._pin_row @ mu - rhs[self._pin]).ravel()
         scale = np.linalg.norm(rhs, axis=0)
         if not np.all(dropped <= _RESIDUAL_TOL * scale):
@@ -236,7 +248,9 @@ class EquilibrationSolver:
             )
         shift = (volume - surface) / self._area
         loads = sysm.broken_coupling @ y - shift * sysm.broken_moments
-        lam, mu = self._multipliers(loads[:, None], self._trace_to_edge @ g[:, None])
+        lam, mu = self._multipliers(
+            loads[:, None], self._trace_to_edge @ g[:, None], self._edges.solve
+        )
         flux = (
             self._flux_of_edge @ mu[self._edge_dof]
             + self._flux_of_load @ loads.reshape(-1, 3, 1)
@@ -291,6 +305,15 @@ class EquilibrationSolver:
         z = P1^{-1} (mass y - broken_coupling^T lam), and no (n_P1, s)
         array is formed.  The flux energy x_i^T M x_j is read off the
         multipliers of column j as -loads_i^T lam_j - traces_i^T mu_j.
+
+        The blocks run on a pool of min(_WORKERS, blocks) threads; each
+        writes only its own columns of B and sums nothing across blocks,
+        so B does not depend on the thread count.  Every block keeps the
+        per-column residual checks of its solves and the compatibility
+        check; the first error raised in a block reaches the caller
+        unchanged and the blocks not yet started are cancelled.  Blocks
+        call the factors' _solve, which no tracer wraps (see
+        CholeskyFactor).
         """
         sysm = self.system
         s = sysm.dofs.dim_trace
@@ -299,18 +322,27 @@ class EquilibrationSolver:
         shifts = (volumes - np.asarray(sysm.boundary_mass.sum(axis=0)).ravel()) / self._area
         quad = np.empty((s, s))
         w = sysm.broken_moments
-        for start in range(0, s, _BLOCK):
+
+        def block(start):
             cols = slice(start, min(start + _BLOCK, s))
-            y = self._p1.solve(coupling[:, cols])
-            loads = sysm.broken_coupling @ y - np.outer(w, shifts[cols])
-            lam, mu = self._multipliers(loads, self._trace_to_edge[:, cols].toarray())
-            z = self._p1.solve(sysm.mass @ y - sysm.broken_coupling.T @ lam)
+            y = self._p1._solve(coupling[:, cols])
+            loads = sysm.broken_coupling @ y
+            loads -= np.outer(w, shifts[cols])
+            traces = self._trace_to_edge[:, cols].toarray()
+            lam, mu = self._multipliers(loads, traces, self._edges._solve)
+            z = self._p1._solve(sysm.mass @ y - sysm.broken_coupling.T @ lam)
             quad[:, cols] = (
                 coupling.T @ (z - y)
                 - np.outer(volumes, shifts[cols])
                 - np.outer(shifts, volumes[cols] - w @ lam)
                 - self._trace_to_edge.T @ mu
             )
+
+        starts = range(0, s, _BLOCK)
+        with ThreadPoolExecutor(min(_WORKERS, len(starts))) as pool:
+            # map re-raises a block's error and cancels the pending blocks
+            for _ in pool.map(block, starts):
+                pass
         norm = np.linalg.norm(quad)
         asym = np.linalg.norm(quad - quad.T)
         if norm > 0 and asym > 1e-8 * norm:

@@ -68,7 +68,9 @@ def _check_residual(apply_op, x, b, what):
     """Each column's residual against _RESIDUAL_TOL times that column's
     norm, so a small column cannot hide behind large ones; a zero column
     must come back with zero residual."""
-    res = np.linalg.norm((apply_op(x) - b).reshape(len(b), -1), axis=0)
+    res = apply_op(x)
+    res -= b
+    res = np.linalg.norm(res.reshape(len(b), -1), axis=0)
     bn = np.linalg.norm(b.reshape(len(b), -1), axis=0)
     bad = np.flatnonzero(~(res <= _RESIDUAL_TOL * bn))
     if bad.size:
@@ -94,6 +96,11 @@ class CholeskyFactor:
     the edge-multiplier system of the flux equilibration a second pass
     does not lower the residual.  general_sym_eig refines its own
     interior solves, where eigenvector accuracy needs it.
+
+    solve only delegates to _solve, the one implementation.  Worker
+    threads call _solve: an outside tracer that wraps solve (as the
+    benchmark's per-layer run does) keeps a single-threaded span stack,
+    and spans opened on two threads at once would close out of order.
     """
 
     def __init__(self, a):
@@ -116,8 +123,11 @@ class CholeskyFactor:
         self._a = a.tocsr()
 
     def solve(self, b):
+        return self._solve(b)
+
+    def _solve(self, b):
         b = _dense(b)
-        if b.ndim == 1:
+        if b.ndim == 1 or b.shape[1] <= _RHS_CHUNK:
             x = self._lu.solve(b)
         else:
             x = np.empty(b.shape)

@@ -325,9 +325,11 @@ def validate_mesh(mesh):
     return _validate(mesh, None)
 
 
-def _validate(mesh, table):
-    """validate_mesh, reusing the edge table of mesh.triangles when the
-    caller has built it (None: build it here)."""
+def _validate(mesh, located):
+    """validate_mesh.  located is None, or (table, found) from a caller
+    that built the edge table of mesh.triangles, located
+    mesh.boundary_edges in it (found: their edge numbers) and took
+    mesh.boundary_triangles from that search."""
     nv = mesh.num_vertices
     if nv == 0 or mesh.num_triangles == 0:
         raise MeshError("mesh has no vertices or no triangles")
@@ -348,8 +350,11 @@ def _validate(mesh, table):
         f"triangle {t} is degenerate or clockwise (signed area {areas[t]})"
     ))
 
-    table = edge_table(mesh.triangles) if table is None else table
-    found, owners = table.locate(mesh.boundary_edges)
+    if located is None:
+        table = edge_table(mesh.triangles)
+        found, owners = table.locate(mesh.boundary_edges)
+    else:
+        (table, found), owners = located, mesh.boundary_triangles
     _, first, inverse = np.unique(found, return_index=True, return_inverse=True)
     first, recorded = first[inverse], mesh.boundary_triangles
     repeated = first != np.arange(len(found))
@@ -427,7 +432,7 @@ def read_mesh(path):
 
     table = edge_table(triangles)
     try:
-        owners = table.locate(edges)[1]
+        found, owners = table.locate(edges)
     except MeshError as exc:
         raise MeshError(f"mesh file {path}: {exc}") from None
-    return _validate(Mesh(vertices, triangles, edges, owners, domain=domain), table)
+    return _validate(Mesh(vertices, triangles, edges, owners, domain=domain), (table, found))

@@ -1,10 +1,13 @@
 """Equilibrated flux, guaranteed error quantity and projection constant."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from steklov_certify import hypercircle
 from steklov_certify.assembly import (
     assemble_system,
     p1_gradients,
@@ -210,9 +213,9 @@ def test_perturbed_mean_shift_is_rejected(system_square4, rng):
     def loads(c):
         return (sysm.broken_coupling @ neumann.coefficients - c * sysm.broken_moments)[:, None]
 
-    solver._multipliers(loads(shift), traces)
+    solver._multipliers(loads(shift), traces, solver._edges.solve)
     with pytest.raises(LinearAlgebraError, match="compatibility residual"):
-        solver._multipliers(loads(shift + 1e-6), traces)
+        solver._multipliers(loads(shift + 1e-6), traces, solver._edges.solve)
 
 
 def test_pinned_edge_system_residual_near_roundoff():
@@ -243,6 +246,42 @@ def test_constant_memory_peak_square32():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+@pytest.mark.parametrize("gen, n", [(uniform_square_mesh, 16), (uniform_lshape_mesh, 8)])
+def test_constant_independent_of_worker_count(gen, n, monkeypatch):
+    """Each block writes only its own columns, so one, two and four
+    workers give the same bits; four run under a short thread switch
+    interval to stress the concurrent column writes."""
+    solver = EquilibrationSolver(assemble_system(gen(n)))
+    interval = sys.getswitchinterval()
+    results = []
+    try:
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(hypercircle, "_WORKERS", workers)
+            sys.setswitchinterval(1e-6 if workers > 2 else interval)
+            results.append(solver.constant())
+    finally:
+        sys.setswitchinterval(interval)
+    one = results[0]
+    for other in results[1:]:
+        assert np.array_equal(one.quad_form, other.quad_form)
+        assert one.value == other.value
+        assert np.array_equal(one.maximizer.coefficients, other.maximizer.coefficients)
+
+
+def test_constant_error_in_a_worker_reaches_the_caller(monkeypatch):
+    """With a zero tolerance the compatibility check fails inside the
+    blocks: the caller gets the worker's LinearAlgebraError itself, and
+    the pool's threads are gone when constant() returns."""
+    solver = EquilibrationSolver(assemble_system(uniform_square_mesh(8)))
+    monkeypatch.setattr(hypercircle, "_WORKERS", 2)
+    monkeypatch.setattr(hypercircle, "_RESIDUAL_TOL", 0.0)
+    before = threading.active_count()
+    with pytest.raises(LinearAlgebraError, match="flux compatibility residual") as caught:
+        solver.constant()
+    assert type(caught.value) is LinearAlgebraError
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("length", [0, 7, 17])

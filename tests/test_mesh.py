@@ -199,6 +199,25 @@ def test_read_builds_the_edge_table_once(tmp_path, monkeypatch):
     assert calls == [32]
 
 
+def test_read_locates_the_boundary_edges_once(tmp_path, monkeypatch):
+    """read_mesh hands the edge numbers it found to the validation
+    instead of searching the boundary edges a second time."""
+    import steklov_certify.mesh as mesh_module
+
+    calls = []
+    locate = mesh_module.EdgeTable.locate
+
+    def counting(table, pairs):
+        calls.append(len(pairs))
+        return locate(table, pairs)
+
+    path = tmp_path / "square4.json"
+    write_mesh(uniform_square_mesh(4), path)
+    monkeypatch.setattr(mesh_module.EdgeTable, "locate", counting)
+    read_mesh(path)
+    assert calls == [16]
+
+
 def _doc_of(mesh):
     return {
         "domain": mesh.domain,
