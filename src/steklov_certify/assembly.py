@@ -244,7 +244,6 @@ class RTElements:
     coeffs: np.ndarray
     centroids: np.ndarray
     scales: np.ndarray
-    areas: np.ndarray
     mass: np.ndarray
     div: np.ndarray
 
@@ -332,7 +331,7 @@ def assemble_rt1(mesh, dofs):
     div_coupling = scatter_csr(
         np.repeat(np.arange(3 * nt), 8), np.tile(gdofs, (1, 3)), div_elem, (3 * nt, p_total)
     )
-    elements = RTElements(gdofs, c, centroids, scales, areas, mass_elem, div_elem)
+    elements = RTElements(gdofs, c, centroids, scales, mass_elem, div_elem)
     return rt_mass, div_coupling, elements
 
 

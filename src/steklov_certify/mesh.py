@@ -1,5 +1,10 @@
 """Uniform triangulations of the unit-square and L-shaped model domains.
 
+Both model meshes come from one lattice builder, _lattice_mesh, given the
+integer corners of the domain polygon; it keeps the lattice cells whose
+centres lie inside and splits them on alternating diagonals with array
+operations, so no mesh code loops over cells or vertices.
+
 A mesh is a plain vertex/triangle/boundary-edge table with enough geometry
 attached to drive the certified constants: per-element longest edge, area,
 and the height with respect to each edge.  Boundary edges are stored as an
@@ -221,13 +226,52 @@ def edge_table(triangles):
     return EdgeTable(np.column_stack(np.divmod(keys, base)), inverse.reshape(tris.shape))
 
 
-def _split_cell(a, b, c, d, flip):
-    """Two counterclockwise triangles of the cell with corners a, b, c, d
-    (lower-left, lower-right, upper-right, upper-left).  flip selects the
-    diagonal: False is a-c, True is b-d."""
-    if flip:
-        return [(a, b, d), (b, c, d)]
-    return [(a, b, c), (a, c, d)]
+def _lattice_mesh(n, corners, domain):
+    """Criss-cross mesh of lattice spacing 1/n on a polygon.
+
+    corners are the integer corners of the polygon, counterclockwise from
+    the origin, with axis-parallel sides.  The cells whose centres lie
+    inside are kept and split on the diagonal that alternates with
+    (i + j) % 2; vertices are the lattice points of kept cells, numbered
+    row by row, and triangles follow the kept cells row by row.  The
+    boundary loop starts at the origin.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise MeshError(f"subdivision count must be an integer, got {n!r}")
+    if n < 1:
+        raise MeshError(f"subdivision count must be >= 1, got {n}")
+    p = np.asarray(corners, dtype=np.int64) * int(n)
+    q = np.roll(p, -1, axis=0)
+    width, height = p.max(axis=0)
+
+    # even-odd test of the cell centres along +x, in half-lattice units
+    # (centres odd, corners even) so every product is an exact integer
+    cy, cx = np.mgrid[1:2 * height:2, 1:2 * width:2][..., None]
+    (x0, y0), (x1, y1) = 2 * p.T, 2 * q.T
+    left = (cy - y0) * (x1 - x0) > (cx - x0) * (y1 - y0)
+    crossings = ((y0 > cy) != (y1 > cy)) & (left == (y1 > y0))
+    keep = crossings.sum(axis=-1) % 2 == 1
+
+    padded = np.pad(keep, 1)
+    touched = padded[1:, 1:] | padded[1:, :-1] | padded[:-1, 1:] | padded[:-1, :-1]
+    vid = np.cumsum(touched, dtype=np.int64).reshape(touched.shape) - 1
+    vy, vx = np.nonzero(touched)
+    vertices = np.column_stack([vx / n, vy / n])
+
+    j, i = np.nonzero(keep)
+    a, b, c, d = vid[j, i], vid[j, i + 1], vid[j + 1, i + 1], vid[j + 1, i]
+    flip = ((i + j) % 2 == 1)[:, None]
+    triangles = np.where(
+        flip, np.column_stack([a, b, d, b, c, d]), np.column_stack([a, b, c, a, c, d])
+    ).reshape(-1, 3)
+
+    loop = np.concatenate([
+        start + np.outer(np.arange(np.abs(end - start).max()), np.sign(end - start))
+        for start, end in zip(p, q)
+    ])
+    heads = vid[loop[:, 1], loop[:, 0]]
+    edges = np.column_stack([heads, np.roll(heads, -1)])
+    return Mesh(vertices, triangles, edges, edge_table(triangles).locate(edges)[1], domain)
 
 
 def uniform_square_mesh(n):
@@ -239,30 +283,7 @@ def uniform_square_mesh(n):
     exactly degenerate.  The boundary loop starts at the origin and runs
     counterclockwise.
     """
-    if n < 1:
-        raise MeshError(f"subdivision count must be >= 1, got {n}")
-    idx = lambda i, j: j * (n + 1) + i
-    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    vertices = np.column_stack([(ii.T / n).ravel(), (jj.T / n).ravel()])
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            triangles += _split_cell(
-                idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1), (i + j) % 2 == 1
-            )
-
-    edges = []
-    for i in range(n):  # bottom, left to right
-        edges.append((idx(i, 0), idx(i + 1, 0)))
-    for j in range(n):  # right, upward
-        edges.append((idx(n, j), idx(n, j + 1)))
-    for i in range(n, 0, -1):  # top, right to left
-        edges.append((idx(i, n), idx(i - 1, n)))
-    for j in range(n, 0, -1):  # left, downward
-        edges.append((idx(0, j), idx(0, j - 1)))
-
-    return Mesh(vertices, triangles, edges, edge_table(triangles).locate(edges)[1], "unit_square")
+    return _lattice_mesh(n, [(0, 0), (1, 0), (1, 1), (0, 1)], "unit_square")
 
 
 def uniform_lshape_mesh(n):
@@ -274,43 +295,7 @@ def uniform_lshape_mesh(n):
     (0, 0).  The boundary loop runs counterclockwise through (0,0),
     (2,0), (2,1), (1,1), (1,2), (0,2); the reentrant corner is (1,1).
     """
-    if n < 1:
-        raise MeshError(f"subdivision count must be >= 1, got {n}")
-    nn = 2 * n
-    vid = -np.ones((nn + 1, nn + 1), dtype=np.int64)
-    coords = []
-    for j in range(nn + 1):
-        for i in range(nn + 1):
-            if i > n and j > n:
-                continue  # interior of the removed quadrant
-            vid[i, j] = len(coords)
-            coords.append((i / n, j / n))
-    vertices = np.asarray(coords)
-
-    triangles = []
-    for j in range(nn):
-        for i in range(nn):
-            if i >= n and j >= n:
-                continue
-            triangles += _split_cell(
-                vid[i, j], vid[i + 1, j], vid[i + 1, j + 1], vid[i, j + 1], (i + j) % 2 == 1
-            )
-
-    edges = []
-    for i in range(nn):  # bottom of the big square
-        edges.append((vid[i, 0], vid[i + 1, 0]))
-    for j in range(n):  # right side, y in (0, 1)
-        edges.append((vid[nn, j], vid[nn, j + 1]))
-    for i in range(nn, n, -1):  # reentrant horizontal, x from 2 to 1 at y = 1
-        edges.append((vid[i, n], vid[i - 1, n]))
-    for j in range(n, nn):  # reentrant vertical, x = 1, y from 1 to 2
-        edges.append((vid[n, j], vid[n, j + 1]))
-    for i in range(n, 0, -1):  # top, x from 1 to 0 at y = 2
-        edges.append((vid[i, nn], vid[i - 1, nn]))
-    for j in range(nn, 0, -1):  # left side, downward
-        edges.append((vid[0, j], vid[0, j - 1]))
-
-    return Mesh(vertices, triangles, edges, edge_table(triangles).locate(edges)[1], "l_shape")
+    return _lattice_mesh(n, [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], "l_shape")
 
 
 def validate_mesh(mesh):

@@ -444,7 +444,7 @@ def system_arrays(system):
         else:
             out[name] = np.asarray(value)
     el = system.rt_elements
-    for name in ("gdofs", "coeffs", "centroids", "scales", "areas"):
+    for name in ("gdofs", "coeffs", "centroids", "scales"):
         out[f"rt_{name}"] = getattr(el, name)
     for name in _DOF_TABLES:
         out[f"dofs_{name}"] = getattr(system.dofs, name)
@@ -480,7 +480,7 @@ def test_system_matches_snapshot(gen, n):
         want, got = _as_matrix(expected, name), _as_matrix(actual, name)
         assert got.shape == want.shape, name
         assert abs(got - want).max() <= 1e-14 * abs(want).max(), name
-    for name in ("coeffs", "centroids", "scales", "areas"):
+    for name in ("coeffs", "centroids", "scales"):
         want, got = expected[f"rt_{name}"], actual[f"rt_{name}"]
         assert got.shape == want.shape, name
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name

@@ -1,5 +1,6 @@
 """Mesh generation, geometry, validation and file round-trips."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -74,6 +75,53 @@ def test_lshape_n4_explicit_counts():
 def test_rejects_zero_subdivisions(gen):
     with pytest.raises(MeshError):
         gen(0)
+
+
+@pytest.mark.parametrize("gen", [uniform_square_mesh, uniform_lshape_mesh])
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None])
+def test_rejects_non_integer_subdivisions(gen, n):
+    with pytest.raises(MeshError, match="integer"):
+        gen(n)
+
+
+def _mesh_digest(mesh):
+    """SHA-256 over the dtype, shape and bytes of the four mesh arrays."""
+    h = hashlib.sha256()
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_triangles"):
+        a = getattr(mesh, name)
+        h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# recorded from the per-cell loop generators that the lattice builder
+# replaced; every certified number downstream depends on these arrays
+_MESH_DIGESTS = {
+    (uniform_square_mesh, 1): "57d40d1376735935dda38c70f088b4abcd62735a9a2f6e270a0052f6918569c3",
+    (uniform_square_mesh, 2): "78921d8e1f449804fbbce4ee6ead8429f1c0a4c94231767720317ebc9136e906",
+    (uniform_square_mesh, 3): "8abd2fe175967aabd3570fd3bb725eef7238b68b458771452b32981afa0912cc",
+    (uniform_square_mesh, 8): "8c1ed9f56e272505ef7ed3292a88489410ec2783808b16d6d5916e6611718241",
+    (uniform_square_mesh, 64): "016c6a871169cacf8efa14b8839d7f15e3d33c23a3204a1b809d12a652a33cf9",
+    (uniform_square_mesh, 128): "304fd812231d6ed414f5694f995bde95fbc39996b986e11831a3376989069c34",
+    (uniform_lshape_mesh, 1): "697e80330d465269572855c73b3ac4c1156151a7f3191d27f563535629b0bc08",
+    (uniform_lshape_mesh, 2): "fdb70728e7c2133e801154c1a385f877b22d9debe5a5d32cde96e5495f6308e5",
+    (uniform_lshape_mesh, 3): "ee852386a654f94a8fbba47c7d3fa3e87d63f376bfab157f7cc7c4e5fba413a4",
+    (uniform_lshape_mesh, 4): "5603b9e1b93e62bd41ca7040d6dbf14f7fffe8ecc2bbe706b660cf74acac2862",
+    (uniform_lshape_mesh, 32): "84dcc06e30c0ca3825609627c1ad57fbe7a10382ab242eaa0e1e601e67ac9ac0",
+}
+
+
+@pytest.mark.parametrize("gen,n", list(_MESH_DIGESTS))
+def test_generators_match_snapshot(gen, n):
+    mesh = gen(n)
+    assert _mesh_digest(mesh) == _MESH_DIGESTS[gen, n]
+    for a in (mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_triangles):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("gen", [uniform_square_mesh, uniform_lshape_mesh])
+def test_numpy_integer_subdivisions(gen):
+    assert _mesh_digest(gen(np.int32(3))) == _MESH_DIGESTS[gen, 3]
 
 
 @pytest.mark.parametrize(

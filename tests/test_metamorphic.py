@@ -116,19 +116,25 @@ def _certify(mesh):
 def baseline():
     cache = {}
 
-    def get(domain):
-        if domain not in cache:
-            mesh = _GENERATORS[domain](8)
-            cache[domain] = (mesh, _certify(mesh))
-        return cache[domain]
+    def get(domain, n):
+        if (domain, n) not in cache:
+            mesh = _GENERATORS[domain](n)
+            cache[domain, n] = (mesh, _certify(mesh))
+        return cache[domain, n]
 
     return get
 
 
+# the n = 8 cases keep their bare domain ids
+_LEVELS = [(domain, n) for n in (8, 16) for domain in sorted(_GENERATORS)]
+
+
 @pytest.mark.parametrize("transform", sorted(_TRANSFORMS))
-@pytest.mark.parametrize("domain", sorted(_GENERATORS))
-def test_certified_output_is_invariant(domain, transform, baseline, tmp_path):
-    mesh, expected = baseline(domain)
+@pytest.mark.parametrize(
+    "domain,n", _LEVELS, ids=[domain if n == 8 else f"{domain}{n}" for domain, n in _LEVELS]
+)
+def test_certified_output_is_invariant(domain, n, transform, baseline, tmp_path):
+    mesh, expected = baseline(domain, n)
     moved = _TRANSFORMS[transform](mesh, np.random.default_rng(0), tmp_path)
     got = _certify(moved)
     assert [r.method for r in got] == [r.method for r in expected] == ["conforming", "cr"]
