@@ -70,6 +70,7 @@ TRIANGLE_RULE = (
 
 _P1_MASS_BLOCK = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 _EDGE_MASS_BLOCK = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+_PROJECT_GAUSS = 10  # Gauss points per edge for callable data in project_boundary
 
 
 def edge_gauss_rule(n):
@@ -428,7 +429,7 @@ def coefficients_of(data):
     return np.asarray(getattr(data, "coefficients", data), dtype=float)
 
 
-def project_boundary(mesh, data, n_gauss=10):
+def project_boundary(mesh, data):
     """L2-project boundary data onto the trace space, edge by edge.
 
     data is either a callable f(points, normal) -> values, evaluated with
@@ -444,7 +445,7 @@ def project_boundary(mesh, data, n_gauss=10):
             raise ValueError(f"expected ({nb}, 2) endpoint values, got {g.shape}")
         g = g.ravel()
     else:
-        snodes, sweights = edge_gauss_rule(n_gauss)
+        snodes, sweights = edge_gauss_rule(_PROJECT_GAUSS)
         normals = boundary_normals(mesh)
         lengths = mesh.boundary_edge_lengths()
         g = np.empty(2 * nb)

@@ -7,7 +7,8 @@ Three subcommands:
 
   steklov-certify bounds --domain square --n 8 --k 3 [--method both]
       certified enclosures of the first k eigenvalues on one mesh
-      (alternatively --mesh FILE for a mesh from disk)
+      (alternatively --mesh FILE for a mesh from disk, which excludes
+      --domain and --n; --dump-matrices DIR needs the conforming method)
 
   steklov-certify convergence --domain square --levels 4,8,16,32 --k 3
       the same across a refinement sequence, with observed convergence
@@ -24,22 +25,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import bounds as bnd
-from .assembly import assemble_system
+from .assembly import AssembledSystem, assemble_system
 from .hypercircle import EquilibrationSolver
 from .linalg import LinearAlgebraError
-from .mesh import (
-    Mesh,
-    MeshError,
-    read_mesh,
-    uniform_lshape_mesh,
-    uniform_square_mesh,
-    write_mesh,
-)
+from .mesh import MeshError, read_mesh, uniform_lshape_mesh, uniform_square_mesh, write_mesh
 from .steklov import solve_steklov_cr, solve_steklov_p1
 
 __all__ = [
@@ -53,6 +49,7 @@ __all__ = [
 
 _DOMAIN_FLAGS = {"square": "unit_square", "lshape": "l_shape"}
 _GENERATORS = {"square": uniform_square_mesh, "lshape": uniform_lshape_mesh}
+_METHODS = {"conforming": ("conforming",), "cr": ("cr",), "both": ("conforming", "cr")}
 
 
 class UsageError(ValueError):
@@ -207,7 +204,6 @@ def render_csv(levels_by_method, k, references):
 
 
 def _level_doc(level):
-    c = level.constants
     return {
         "domain": level.domain,
         "method": level.method,
@@ -215,14 +211,7 @@ def _level_doc(level):
         "h_token": _h_token(level.n),
         "h": level.h,
         "dof": level.dof,
-        "constants": {
-            "trace_const": c.trace_const,
-            "trace_simple": c.trace_simple,
-            "proj_const": c.proj_const,
-            "cert_const": c.cert_const,
-            "cr_const": c.cr_const,
-            "cr_simple": c.cr_simple,
-        },
+        "constants": asdict(level.constants),
         "eigenvalues": level.eigenvalues,
         "lower_bounds": level.lower_bounds,
         "abs_errors": level.errors,
@@ -256,92 +245,80 @@ def render_json(levels_by_method, k, references):
 
 
 def _dump_matrices(system, directory):
-    """Write every assembled matrix as (row, col, value) triplet files."""
-    from pathlib import Path
-    import scipy.sparse as sp
-
+    """Write every sparse matrix of the system, and broken_moments as a
+    column, as (row, col, value) triplet files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    named = {
-        "stiffness": system.stiffness,
-        "mass": system.mass,
-        "vertex_boundary_mass": system.vertex_boundary_mass,
-        "boundary_coupling": system.boundary_coupling,
-        "boundary_mass": system.boundary_mass,
-        "trace_map": system.trace_map,
-        "broken_mass": system.broken_mass,
-        "broken_coupling": system.broken_coupling,
-        "rt_mass": system.rt_mass,
-        "div_coupling": system.div_coupling,
-        "broken_moments": system.broken_moments[:, None],
-    }
-    for name, matrix in named.items():
+    for field in fields(AssembledSystem):
+        matrix = getattr(system, field.name)
+        if field.name == "broken_moments":
+            matrix = matrix[:, None]
+        elif not sp.issparse(matrix):
+            continue
         coo = sp.coo_matrix(matrix)
-        with open(directory / f"{name}.txt", "w") as handle:
+        with open(directory / f"{field.name}.txt", "w") as handle:
             handle.write(f"# {coo.shape[0]} {coo.shape[1]}\n")
             order = np.lexsort((coo.col, coo.row))
             for i in order:
                 handle.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n")
 
 
+def _positive(flag, value):
+    if value < 1:
+        raise UsageError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
 def _resolve_mesh(args):
     if getattr(args, "mesh", None):
-        mesh = read_mesh(args.mesh)
-        return mesh, None
+        if args.domain is not None or args.n is not None:
+            raise UsageError("--mesh excludes --domain and --n")
+        return read_mesh(args.mesh), None
     if args.domain is None:
         raise UsageError("either --mesh or --domain is required")
     if args.n is None:
         raise UsageError("--n is required with --domain")
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    return _GENERATORS[args.domain](args.n), args.n
+    n = _positive("--n", args.n)
+    return _GENERATORS[args.domain](n), n
 
 
-def _resolve_references(args, domain):
-    if getattr(args, "no_refs", False):
-        return None
-    if getattr(args, "refs", None):
-        table = bnd.load_references(args.refs)
-        return table.get(domain)
-    return bnd.reference_eigenvalues(domain)
-
-
-def _emit(text, out):
-    if out:
-        with open(out, "w") as handle:
+def _report(args, domain, meshes):
+    """Certify each (mesh, n) of meshes in turn, then render the rows
+    grouped by method to --out or stdout."""
+    k = _positive("--k", args.k)
+    if args.no_refs:
+        references = None
+    elif args.refs:
+        references = bnd.load_references(args.refs).get(domain)
+    else:
+        references = bnd.reference_eigenvalues(domain)
+    methods = _METHODS[args.method]
+    dump_dir = getattr(args, "dump_matrices", None)
+    by_method = {method: [] for method in methods}
+    for mesh, n in meshes:
+        for level in certify_level(mesh, k, methods, references, n=n, dump_dir=dump_dir):
+            by_method[level.method].append(level)
+    renderer = render_json if args.format == "json" else render_csv
+    text = renderer(by_method, k, references)
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _methods(flag):
-    return ("conforming", "cr") if flag == "both" else (
-        ("cr",) if flag == "cr" else ("conforming",)
-    )
+    return 0
 
 
 def _cmd_mesh(args):
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    mesh = _GENERATORS[args.domain](args.n)
+    mesh, _ = _resolve_mesh(args)
     write_mesh(mesh, args.out)
     return 0
 
 
 def _cmd_bounds(args):
+    if args.dump_matrices is not None and "conforming" not in _METHODS[args.method]:
+        raise UsageError("--dump-matrices needs --method conforming or both")
     mesh, n = _resolve_mesh(args)
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
-    references = _resolve_references(args, mesh.domain)
-    levels = certify_level(
-        mesh, args.k, _methods(args.method), references, n=n, dump_dir=args.dump_matrices
-    )
-    by_method = {}
-    for level in levels:
-        by_method.setdefault(level.method, []).append(level)
-    renderer = render_json if args.format == "json" else render_csv
-    _emit(renderer(by_method, args.k, references), args.out)
-    return 0
+    return _report(args, mesh.domain, [(mesh, n)])
 
 
 def _cmd_convergence(args):
@@ -353,18 +330,17 @@ def _cmd_convergence(args):
         raise UsageError("--levels needs at least two levels")
     if any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise UsageError("--levels must be increasing positive integers")
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
-    domain = _DOMAIN_FLAGS[args.domain]
-    references = _resolve_references(args, domain)
-    by_method = {m: [] for m in _methods(args.method)}
-    for n in ns:
-        mesh = _GENERATORS[args.domain](n)
-        for level in certify_level(mesh, args.k, _methods(args.method), references, n=n):
-            by_method[level.method].append(level)
-    renderer = render_json if args.format == "json" else render_csv
-    _emit(renderer(by_method, args.k, references), args.out)
-    return 0
+    meshes = ((_GENERATORS[args.domain](n), n) for n in ns)
+    return _report(args, _DOMAIN_FLAGS[args.domain], meshes)
+
+
+def _add_report_options(parser, method):
+    parser.add_argument("--k", type=int, default=3, help="number of eigenvalues")
+    parser.add_argument("--method", choices=tuple(_METHODS), default=method)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--out", help="output file (default stdout)")
+    parser.add_argument("--refs", help="JSON file with reference eigenvalues")
+    parser.add_argument("--no-refs", action="store_true", help="skip error columns")
 
 
 def _build_parser():
@@ -384,24 +360,14 @@ def _build_parser():
     p_bounds.add_argument("--mesh", help="mesh JSON file (instead of --domain/--n)")
     p_bounds.add_argument("--domain", choices=("square", "lshape"))
     p_bounds.add_argument("--n", type=int)
-    p_bounds.add_argument("--k", type=int, default=3, help="number of eigenvalues")
-    p_bounds.add_argument("--method", choices=("conforming", "cr", "both"), default="conforming")
-    p_bounds.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_bounds.add_argument("--out", help="output file (default stdout)")
-    p_bounds.add_argument("--refs", help="JSON file with reference eigenvalues")
-    p_bounds.add_argument("--no-refs", action="store_true", help="skip error columns")
+    _add_report_options(p_bounds, "conforming")
     p_bounds.add_argument("--dump-matrices", metavar="DIR", help="write assembled matrices")
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_conv = sub.add_parser("convergence", help="bounds across a refinement sequence")
     p_conv.add_argument("--domain", choices=("square", "lshape"), required=True)
     p_conv.add_argument("--levels", required=True, help="comma list, e.g. 4,8,16,32")
-    p_conv.add_argument("--k", type=int, default=3)
-    p_conv.add_argument("--method", choices=("conforming", "cr", "both"), default="both")
-    p_conv.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_conv.add_argument("--out", help="output file (default stdout)")
-    p_conv.add_argument("--refs", help="JSON file with reference eigenvalues")
-    p_conv.add_argument("--no-refs", action="store_true", help="skip error columns")
+    _add_report_options(p_conv, "both")
     p_conv.set_defaults(func=_cmd_convergence)
     return parser
 

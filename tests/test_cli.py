@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,25 @@ def _run(argv, capsys):
 
 def _parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+_GOLDEN = Path(__file__).parent / "data"
+
+
+def _assert_same_doc(got, expected, where="$"):
+    """Same JSON structure and key order; numbers equal to 1e-12 relative."""
+    if isinstance(expected, dict):
+        assert isinstance(got, dict) and list(got) == list(expected), where
+        for key in expected:
+            _assert_same_doc(got[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(got, list) and len(got) == len(expected), where
+        for i, (a, b) in enumerate(zip(got, expected)):
+            _assert_same_doc(a, b, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert isinstance(got, float) and math.isclose(got, expected, rel_tol=1e-12), where
+    else:
+        assert type(got) is type(expected) and got == expected, where
 
 
 # --- mesh command ---------------------------------------------------------
@@ -221,9 +242,55 @@ def test_bounds_usage_errors(tmp_path, capsys):
     assert _run(["bounds", "--domain", "square"], capsys)[0] == 2
     assert _run(["bounds"], capsys)[0] == 2
     assert _run(["bounds", "--domain", "square", "--n", "4", "--k", "0"], capsys)[0] == 2
-    code, _, err = _run(["bounds", "--mesh", str(tmp_path / "missing.json")], capsys)
+    missing = str(tmp_path / "missing.json")
+    code, _, err = _run(["bounds", "--mesh", missing], capsys)
     assert code == 1
     assert "error:" in err
+    # the mesh is read before --k is checked
+    code, _, err = _run(["bounds", "--mesh", missing, "--k", "0"], capsys)
+    assert code == 1 and "cannot read mesh file" in err
+
+
+def test_bounds_dump_matrices_needs_conforming(tmp_path, capsys):
+    dump = tmp_path / "matrices"
+    code, out, err = _run(
+        ["bounds", "--domain", "square", "--n", "2", "--method", "cr",
+         "--dump-matrices", str(dump)],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --dump-matrices needs --method conforming or both\n"
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("extra", [["--domain", "lshape", "--n", "8"], ["--n", "8"],
+                                   ["--domain", "square"]])
+def test_bounds_mesh_excludes_domain_and_n(tmp_path, capsys, extra):
+    mesh_file = tmp_path / "m.json"
+    assert _run(["mesh", "--domain", "square", "--n", "2", "--out", str(mesh_file)], capsys)[0] == 0
+    code, out, err = _run(["bounds", "--mesh", str(mesh_file)] + extra, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --mesh excludes --domain and --n\n"
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["bounds", "--domain", "lshape", "--n", "4", "--method", "both"],
+         "cli_bounds_lshape4_both"),
+        (["convergence", "--domain", "square", "--levels", "2,4,8", "--method", "both"],
+         "cli_convergence_square_2_4_8_both"),
+    ],
+)
+def test_output_matches_golden_files(argv, golden, capsys):
+    """The committed CSV and JSON reports: CSV byte for byte, JSON by
+    structure and key order with numbers to 1e-12 relative."""
+    code, out, _ = _run(argv, capsys)
+    assert code == 0
+    assert out.encode() == (_GOLDEN / f"{golden}.csv").read_bytes()
+    code, out, _ = _run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    _assert_same_doc(json.loads(out), json.loads((_GOLDEN / f"{golden}.json").read_text()))
 
 
 # --- convergence command ------------------------------------------------------
@@ -255,6 +322,12 @@ def test_convergence_usage_errors(capsys):
     assert _run(["convergence", "--domain", "square", "--levels", "8,4"], capsys)[0] == 2
     assert _run(["convergence", "--domain", "square", "--levels", "4,x"], capsys)[0] == 2
     assert _run(["convergence", "--domain", "square", "--levels", "4,8", "--k", "0"], capsys)[0] == 2
+    # --k is checked before the reference file is read
+    code, _, err = _run(
+        ["convergence", "--domain", "square", "--levels", "2,4", "--k", "0", "--refs", "BAD"],
+        capsys,
+    )
+    assert code == 2 and err == "error: --k must be >= 1, got 0\n"
 
 
 def test_convergence_json_orders(capsys):

@@ -4,13 +4,16 @@ Renumbering the vertices or the triangles, starting each triangle at
 another vertex, rotating the mesh by 90 degrees or by 0.3 rad, a
 reflection, a translation and a JSON round trip describe the same
 discrete problem.  Each must leave the eigenvalues, the lower bounds and
-every constant of both methods unchanged to 1e-12 relative.  The draws
+every constant of both methods unchanged to 1e-12 relative.  A jitter
+of the interior vertices changes the discrete problem but not the domain,
+so both methods must still enclose the reference eigenvalues.  The draws
 are seeded, so the suite is deterministic.
 """
 
 import numpy as np
 import pytest
 
+from steklov_certify.bounds import reference_eigenvalues
 from steklov_certify.cli import certify_level
 from steklov_certify.mesh import (
     Mesh,
@@ -148,3 +151,24 @@ def test_certified_output_is_invariant(domain, n, transform, baseline, tmp_path)
                 assert value is None, name
             else:
                 np.testing.assert_allclose(value, reference, rtol=_RTOL, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [8, 16])
+def test_jittered_square_keeps_the_enclosure(n, seed):
+    """Each interior vertex moves by at most 0.2/n, a fifth of the
+    lattice spacing, so every triangle stays positively oriented."""
+    mesh = uniform_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), mesh.boundary_edges)
+    angle = rng.uniform(0.0, 2.0 * np.pi, interior.size)
+    length = rng.uniform(0.0, 0.2 / n, interior.size)
+    vertices = mesh.vertices.copy()
+    vertices[interior] += length[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    jittered = _rebuild(mesh, vertices=vertices)  # runs validate_mesh
+    refs = reference_eigenvalues("unit_square")
+    results = certify_level(jittered, 3, ("conforming", "cr"), refs)
+    assert [r.method for r in results] == ["conforming", "cr"]
+    for result in results:
+        assert all(low <= ref for low, ref in zip(result.lower_bounds, refs)), result.method
+    assert all(ref <= lam for ref, lam in zip(refs, results[0].eigenvalues))
