@@ -16,8 +16,9 @@ Three subcommands:
 
 Reports are deterministic: the same inputs produce byte-identical CSV or
 JSON.  Reference eigenvalues for the error columns ship with the package
-and can be replaced with --refs FILE or dropped with --no-refs.  Exit
-codes: 0 success, 2 usage error, 1 computation or I/O failure.
+and can be replaced with --refs FILE, which must have an entry for the
+run's domain, or dropped with --no-refs.  Exit codes: 0 success, 2 usage
+error, 1 computation or I/O failure.
 """
 
 from __future__ import annotations
@@ -289,7 +290,10 @@ def _report(args, domain, meshes):
     if args.no_refs:
         references = None
     elif args.refs:
-        references = bnd.load_references(args.refs).get(domain)
+        table = bnd.load_references(args.refs)
+        if domain not in table:
+            raise ValueError(f"{args.refs}: no entry for {domain!r}")
+        references = table[domain]
     else:
         references = bnd.reference_eigenvalues(domain)
     methods = _METHODS[args.method]

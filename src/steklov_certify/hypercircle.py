@@ -57,7 +57,7 @@ from .assembly import (
     rt_values_at_quadrature,
     scatter_csr,
 )
-from .linalg import CholeskyFactor, LinearAlgebraError
+from .linalg import CholeskyFactor, LinearAlgebraError, _column_norms
 
 __all__ = [
     "EquilibrationSolver",
@@ -212,7 +212,7 @@ class EquilibrationSolver:
         mu = np.zeros(rhs.shape)
         mu[self._free] = solve(rhs[self._free])
         dropped = np.abs(self._pin_row @ mu - rhs[self._pin]).ravel()
-        scale = np.linalg.norm(rhs, axis=0)
+        scale = _column_norms(rhs)
         if not np.all(dropped <= _RESIDUAL_TOL * scale):
             worst = float(np.max(dropped / np.maximum(scale, np.finfo(float).tiny)))
             raise LinearAlgebraError(f"flux compatibility residual {worst:.3e}")

@@ -3,22 +3,25 @@
 The eigensolver handles pencils (A, B) with A symmetric positive definite
 and B symmetric positive semidefinite, the shape of both Steklov
 pencils.  The kernel directions of B carry no finite eigenvalues; the
-solver eliminates the structural zero rows of B with a Schur complement
-of A and solves the reduced reciprocal problem B* w = mu A* w, so the
-smallest finite eigenvalues are returned exactly once and with
-B-orthonormal eigenvectors.
+solver eliminates the structural zero rows of B with the Schur complement
+S of A on the support of B and solves the reduced reciprocal problem
+B_bb w = mu S w, so the smallest finite eigenvalues are returned exactly
+once and with B-orthonormal eigenvectors.  S is the trailing block of one
+sparse factorization of A whose order puts the support of B last.  Each
+eigenvalue is the Rayleigh quotient of its returned vector, and each
+pair's residual is checked.
 
 Factorizations are deterministic sparse direct methods.  A symmetric
 SuperLU factor serves every positive definite system: the conforming
 matrix, the hybridized edge-multiplier system of the flux equilibration
-and the interior block of every eigen pencil.  SaddleFactor, a pivoted
-sparse LU of a symmetric indefinite matrix, is not used by the
-certification pipeline; it solves the unhybridized flux KKT system that
-the test suite keeps as an oracle, and perfbench traces it.  The only
-dense matrix is the Schur complement on the support of B, whose size is
-the number of boundary dofs; LAPACK eigh runs on it.  Every solution
-column is verified against a residual tolerance and rejected loudly
-rather than returned silently wrong.
+and the A of every eigen pencil.  SaddleFactor, a pivoted sparse LU of a
+symmetric indefinite matrix, is not used by the certification pipeline;
+it solves the unhybridized flux KKT system that the test suite keeps as
+an oracle, and perfbench traces it.  The only dense matrices are
+|support| x |support|, the size of the boundary dofs: the triangular
+factor C of S = C C^T and the reduced pencil, on which LAPACK eigh runs.
+Every solution column is verified against a residual tolerance and
+rejected loudly rather than returned silently wrong.
 """
 
 from __future__ import annotations
@@ -64,14 +67,91 @@ def _dense(a):
     return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
 
 
+def _column_norms(m):
+    """Euclidean norm of each column of a 2-D array (a third of the time
+    of np.linalg.norm(axis=0) on tall, narrow blocks)."""
+    return np.sqrt(np.einsum("ij,ij->j", m, m))
+
+
+def _quadratic_forms(m, x):
+    """v^T m v for each column v of x, m symmetric and sparse.
+
+    Summed as sum_i r_i v_i^2 - 1/2 sum_{i != j} m_ij (v_i - v_j)^2, with
+    r the row sums of m, which _row_sums keeps accurate.  For a smooth v
+    and a discretized Laplacian plus mass, r is small and the differences
+    are exact, so this sum has none of the cancellation of v @ (m @ v).
+    On the first eigenvector of either pencil at square n = 64 that
+    product was up to 1.2e-13 relative off an extended-precision sum,
+    this one 4e-16.  Each column is summed by itself, the same way for
+    any width of x.
+    """
+    m = sp.coo_matrix(m)
+    off = m.row != m.col
+    rows, cols, entries = m.row[off], m.col[off], m.data[off]
+    row_sums = _row_sums(m)
+    forms = np.empty(x.shape[1])
+    for j, v in enumerate(x.T):
+        d = v[rows] - v[cols]
+        forms[j] = np.sum(row_sums * v * v) - 0.5 * np.sum(entries * d * d)
+    return forms
+
+
+def _row_sums(m):
+    """Row sums of a sparse m with Neumaier's compensated summation: a
+    stiffness row sums to zero in exact arithmetic, and its plain sum
+    would be pure rounding error, larger than the mass part it hides."""
+    m = sp.csr_matrix(m)
+    first, lengths = m.indptr[:-1], np.diff(m.indptr)
+    total = np.zeros(m.shape[0])
+    carry = np.zeros(m.shape[0])
+    for p in range(lengths.max(initial=0)):
+        term = np.where(p < lengths, m.data[np.minimum(first + p, m.nnz - 1)], 0.0)
+        new = total + term
+        carry += np.where(
+            np.abs(total) >= np.abs(term), (total - new) + term, (term - new) + total
+        )
+        total = new
+    return total + carry
+
+
+def _mmd_order(m):
+    """The elimination order (new -> old) that SuperLU's symmetric
+    minimum degree ordering gives the sparse square m.
+
+    The order depends on the pattern of m alone, so it is read off an
+    incomplete factor of a matrix with that pattern, ones on its
+    diagonal and zeros elsewhere, whose pivots are all one.  For the
+    interior block at L-shape CR n = 32, a complete factor of m
+    allocated 21.7 MB of SuperLU work space and this one 0.9 MB; made
+    before the complete factor that general_sym_eig needs next, the
+    complete one raised the peak RSS of repeated CR ladders by 6%.  A
+    missing diagonal entry raises NotPositiveDefiniteError.
+    """
+    pattern = sp.csc_matrix(m, dtype=float, copy=True)
+    columns = np.repeat(np.arange(m.shape[0]), np.diff(pattern.indptr))
+    pattern.data = (pattern.indices == columns).astype(float)
+    try:
+        ilu = spla.spilu(
+            pattern,
+            drop_tol=1.0,
+            fill_factor=1,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+    except RuntimeError as exc:
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
+    return np.argsort(ilu.perm_c)
+
+
 def _check_residual(apply_op, x, b, what):
     """Each column's residual against _RESIDUAL_TOL times that column's
     norm, so a small column cannot hide behind large ones; a zero column
     must come back with zero residual."""
     res = apply_op(x)
     res -= b
-    res = np.linalg.norm(res.reshape(len(b), -1), axis=0)
-    bn = np.linalg.norm(b.reshape(len(b), -1), axis=0)
+    res = _column_norms(res.reshape(len(b), -1))
+    bn = _column_norms(b.reshape(len(b), -1))
     bad = np.flatnonzero(~(res <= _RESIDUAL_TOL * bn))
     if bad.size:
         j = bad[0]
@@ -91,11 +171,16 @@ class CholeskyFactor:
     (diagonal of U) is positive; anything else raises
     NotPositiveDefiniteError.
 
+    The private _fixed_order=True keeps the order of a as given
+    (NATURAL), so that general_sym_eig can read a Schur complement off
+    the trailing block of L and U; a factor that moved any row anyway
+    raises LinearAlgebraError.
+
     A solve is one SuperLU pass, in chunks of _RHS_CHUNK columns, and
     every column's residual is checked.  It takes no refinement step: on
     the edge-multiplier system of the flux equilibration a second pass
     does not lower the residual.  general_sym_eig refines its own
-    interior solves, where eigenvector accuracy needs it.
+    eigenvector solves, where eigenvector accuracy needs it.
 
     solve only delegates to _solve, the one implementation.  Worker
     threads call _solve: an outside tracer that wraps solve (as the
@@ -103,12 +188,12 @@ class CholeskyFactor:
     and spans opened on two threads at once would close out of order.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, _fixed_order=False):
         a = sp.csc_matrix(a, dtype=float)
         try:
             lu = spla.splu(
                 a,
-                permc_spec="MMD_AT_PLUS_A",
+                permc_spec="NATURAL" if _fixed_order else "MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
             )
@@ -119,6 +204,10 @@ class CholeskyFactor:
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: smallest pivot {pivots.min():.3e}"
             )
+        # SuperLU may postorder even a NATURAL order along its
+        # elimination tree; no pencil in the test suite makes it
+        if _fixed_order and not np.array_equal(lu.perm_c, np.arange(a.shape[0])):
+            raise LinearAlgebraError("SuperLU reordered a matrix whose elimination order was fixed")
         self._lu = lu
         self._a = a.tocsr()
 
@@ -166,7 +255,8 @@ class SaddleFactor:
 class EigenResult:
     """The smallest finite eigenpairs of a symmetric pencil.
 
-    values are ascending; vectors (columns) are B-orthonormal; n_finite
+    values are ascending (up to roundoff inside a group of equal
+    eigenvalues); vectors (columns) are B-orthonormal; n_finite
     is the total number of finite eigenvalues of the pencil; support
     lists the dofs where B has a nonzero row.
     """
@@ -183,18 +273,31 @@ def general_sym_eig(a, b, k=None):
     a is symmetric positive definite and b symmetric positive
     semidefinite.  Structural zero rows of b are eliminated exactly: with
     the dofs split into the support of b and its complement, the Schur
-    complement of a on the support block turns the pencil into
-    b* w = mu a* w with a* SPD, whose positive mu are the reciprocals of
+    complement S of a on the support block turns the pencil into
+    b_bb w = mu S w with S SPD, whose positive mu are the reciprocals of
     the finite lambda.  A b that spans every dof leaves no interior, and
-    a* is a itself.
+    S is a itself.
 
-    Only the |support| x |support| blocks are dense: the interior block
-    a_ii of a is factored sparsely (CholeskyFactor), the Schur complement
-    is built _RHS_CHUNK support columns at a time, and the interior part
-    -a_ii^{-1} (a_ib w) is solved for the k selected eigenvectors only.
-    These interior solves take one step of iterative refinement, which
-    CholeskyFactor.solve leaves out: it keeps each eigenvalue at
-    roundoff from the Rayleigh quotient of its own vector.
+    S is never formed column by column.  The interior dofs take the
+    minimum degree order of the interior block a_ii (_mmd_order), the
+    support dofs come last, and one symmetric factorization
+    P a P^T = L D L^T in that fixed order (CholeskyFactor with its
+    inertia check) holds S = C C^T in its trailing block,
+    C = L22 D22^{1/2}.  Two triangular solves with C turn the pencil into
+    a standard dense eigh of size |support|.  Only the k selected
+    eigenvectors y of it are taken back to all dofs, by one solve of the
+    whole factor with C y on the support: its back substitution gives
+    w = C^{-T} y there and -a_ii^{-1} a_ib w on the interior.  One
+    refinement step follows, and each solve keeps its residual check.
+    A failed inertia check names the block, interior or Schur
+    complement, that is not positive definite.
+
+    Each returned value is the Rayleigh quotient of its returned,
+    b-normalized vector, summed free of cancellation by
+    _quadratic_forms, and each pair must satisfy
+    ||a x - lambda b x|| <= 1e-10 ||a x||, or LinearAlgebraError is
+    raised.  Every per-column step is independent of the other columns,
+    so the pairs selected with k equal the first k of the full spectrum.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -205,53 +308,54 @@ def general_sym_eig(a, b, k=None):
     if support.size == 0:
         raise LinearAlgebraError("b is zero: the pencil has no finite eigenvalues")
 
-    idx_b = support
-    interior = np.ones(n, dtype=bool)
-    interior[idx_b] = False
-    idx_i = np.flatnonzero(interior)
     a_sp = sp.csr_matrix(a, dtype=float)
-    a_schur = _dense(a_sp[idx_b][:, idx_b])
-    if idx_i.size:
-        a_i = a_sp[idx_i]
-        a_ib = a_i[:, idx_b]
-        a_ii = a_i[:, idx_i]
-        try:
-            factor = CholeskyFactor(a_ii)
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(f"interior block of a: {exc}") from exc
-
-        def interior_solve(rhs):
-            rhs = _dense(rhs)
-            x = factor.solve(rhs)
-            x += factor.solve(rhs - a_ii @ x)
-            return x
-
-        for start in range(0, idx_b.size, _RHS_CHUNK):
-            cols = slice(start, start + _RHS_CHUNK)
-            a_schur[:, cols] -= a_ib.T @ interior_solve(a_ib[:, cols])
-    a_schur = 0.5 * (a_schur + a_schur.T)
-    b_bb = _dense(b_sp[idx_b][:, idx_b])
-
+    interior = np.ones(n, dtype=bool)
+    interior[support] = False
+    idx_i = np.flatnonzero(interior)
+    a_ii = a_sp[idx_i][:, idx_i]
     try:
-        mu, w = sla.eigh(b_bb, a_schur, check_finite=False)
-    except sla.LinAlgError as exc:
+        order = support
+        if idx_i.size:
+            order = np.concatenate([idx_i[_mmd_order(a_ii)], support])
+        factor = CholeskyFactor(a_sp[order][:, order], _fixed_order=True)
+    except NotPositiveDefiniteError as exc:
+        if idx_i.size:
+            try:  # name the block that failed
+                CholeskyFactor(a_ii)
+            except NotPositiveDefiniteError as inner:
+                raise NotPositiveDefiniteError(f"interior block of a: {inner}") from inner
         raise NotPositiveDefiniteError(f"Schur complement of a is not SPD: {exc}") from exc
+    m = support.size
+    l22 = factor._lu.L[-m:, -m:]
+    root_d = np.sqrt(factor._lu.U.diagonal()[-m:])
+    c = l22.toarray(order="F")
+    c *= root_d
+    # b_bb w = mu C C^T w becomes reduced y = mu y with y = C^T w.  The
+    # triangular solves overwrite their right-hand side and eigh its
+    # input (reading one triangle), and c goes before eigh allocates y,
+    # so at most two m x m blocks are alive at once
+    b_bb = b_sp[support][:, support].toarray(order="F")
+    reduced = sla.blas.dtrsm(1.0, c, b_bb, lower=1, overwrite_b=1)
+    reduced = sla.blas.dtrsm(1.0, c, reduced, side=1, lower=1, trans_a=1, overwrite_b=1)
+    del c
+    mu, y = sla.eigh(reduced, overwrite_a=True, check_finite=False)
     mu_max = mu[-1]
     if mu_max <= 0.0:
         raise LinearAlgebraError("b has no positive directions: no finite eigenvalues")
     if mu[0] < -1e-8 * mu_max:
         raise LinearAlgebraError(f"b is indefinite (most negative direction {mu[0]:.3e})")
-    finite = mu > _RANK_TOL * mu_max
-
-    n_finite = int(np.count_nonzero(finite))
+    n_finite = int(np.count_nonzero(mu > _RANK_TOL * mu_max))
     k = n_finite if k is None else k
     if k > n_finite:
         raise LinearAlgebraError(f"requested {k} eigenpairs, pencil has {n_finite} finite ones")
-    mu_k = mu[finite][::-1][:k]  # ascending lambda = 1/mu
-    values = 1.0 / mu_k
-    w_k = w[:, finite][:, ::-1][:, :k] * (1.0 / np.sqrt(mu_k))[None, :]
-    vectors = np.zeros((n, w_k.shape[1]))
-    vectors[idx_b] = w_k
-    if idx_i.size:
-        vectors[idx_i] = -interior_solve(a_ib @ w_k)
+    # the largest mu are the smallest lambda = 1/mu
+    rhs = np.zeros((n, k))
+    rhs[-m:] = l22 @ (root_d[:, None] * y[:, ::-1][:, :k])
+    x_p = factor.solve(rhs)
+    x_p += factor.solve(rhs - factor._a @ x_p)
+    vectors = np.empty((n, k), order="F")
+    vectors[order] = x_p
+    vectors /= np.sqrt(_quadratic_forms(b_sp, vectors))
+    values = _quadratic_forms(a_sp, vectors) / _quadratic_forms(b_sp, vectors)
+    _check_residual(lambda v: (b_sp @ v) * values, vectors, a_sp @ vectors, "eigenpair check")
     return EigenResult(values, vectors, n_finite, support)

@@ -177,11 +177,13 @@ def test_bounds_refs_override(tmp_path, capsys):
         ('{"unit_square": {"values": 3}}', "'unit_square'"),
         ('{"unit_square": {"values": [NaN]}}', "'unit_square'"),
         ('{"unit_square": ', "not valid JSON"),
+        ('{"l_shape": {"values": [0.3]}}', "no entry for 'unit_square'"),
     ],
 )
 def test_bounds_bad_refs_file_is_an_error_message(tmp_path, capsys, text, entry):
-    """A reference file of the wrong shape exits 1 with one error line
-    naming the file and the bad entry, not a traceback."""
+    """A reference file of the wrong shape, or one without the run's
+    domain, exits 1 with one error line naming the file and the bad or
+    missing entry, not a traceback or a report without error columns."""
     refs = tmp_path / "refs.json"
     refs.write_text(text)
     code, out, err = _run(

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from steklov_certify import linalg
 from steklov_certify.assembly import assemble_system
 from steklov_certify.linalg import (
     CholeskyFactor,
@@ -13,7 +16,7 @@ from steklov_certify.linalg import (
     SingularSystemError,
     general_sym_eig,
 )
-from steklov_certify.mesh import uniform_lshape_mesh, uniform_square_mesh
+from steklov_certify.mesh import Mesh, uniform_lshape_mesh, uniform_square_mesh, validate_mesh
 from steklov_certify.steklov import assemble_cr
 
 from oracles import dense_pencil_eigenvalues, kkt_matrix
@@ -65,6 +68,9 @@ class _SuperLUSpy:
         x = self._lu.solve(b)
         x[:, self.column] += self.error
         return x
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
 
 
 def test_solve_in_chunks_matches_single_column_solves(system_square4, rng):
@@ -228,6 +234,116 @@ def test_eig_returns_only_the_selected_vectors():
     assert np.allclose(three.vectors, every.vectors[:, :3], rtol=0.0, atol=1e-13)
 
 
+def _spy_on_superlu(monkeypatch, spy=_SuperLUSpy):
+    """Wrap every SuperLU factor made from here on in a spy."""
+    spies = []
+    splu = spla.splu
+
+    def spying(*args, **kwargs):
+        spies.append(spy(splu(*args, **kwargs)))
+        return spies[-1]
+
+    monkeypatch.setattr(linalg.spla, "splu", spying)
+    return spies
+
+
+def test_eig_solves_only_the_selected_columns(monkeypatch):
+    """The Schur complement is the trailing block of the one complete
+    factorization, so nothing is solved for it: the factor solves the
+    k = 3 selected vectors once and refines them once, where the
+    streamed route solved twice per support column (2 x 155 columns
+    here)."""
+    stiffness, mass, boundary_form, _ = assemble_cr(uniform_lshape_mesh(8))
+    spies = _spy_on_superlu(monkeypatch)
+    result = general_sym_eig(stiffness + mass, boundary_form, k=3)
+    assert result.support.size == 155
+    assert [spy.widths for spy in spies] == [[3, 3]]
+
+
+def test_eig_rejects_a_reordered_factor(monkeypatch):
+    """The support must stay last in the factor.  No mesh here makes
+    SuperLU move a row of the fixed order, so a stand-in factor reports
+    every row moved."""
+
+    class Reordered(_SuperLUSpy):
+        perm_c = property(lambda spy: spy._lu.perm_c[::-1])
+        perm_r = property(lambda spy: spy._lu.perm_r[::-1])
+
+    system = assemble_system(uniform_square_mesh(2))
+    spies = _spy_on_superlu(monkeypatch, Reordered)
+    with pytest.raises(LinearAlgebraError, match="reordered"):
+        general_sym_eig(system.stiffness + system.mass, system.vertex_boundary_mass, k=1)
+    assert len(spies) == 1
+
+
+def test_eigenpair_check_rejects_a_corrupted_pair(monkeypatch):
+    """A reduced eigenvector mixed with its neighbour passes every solve
+    check, and the per-pair residual check rejects it."""
+    system = assemble_system(uniform_square_mesh(4))
+    eigh = sla.eigh
+
+    def corrupted(*args, **kwargs):
+        mu, y = eigh(*args, **kwargs)
+        y[:, -1] += 1e-6 * y[:, -2]
+        return mu, y
+
+    monkeypatch.setattr(linalg.sla, "eigh", corrupted)
+    with pytest.raises(LinearAlgebraError, match="eigenpair check: .* of column 0"):
+        general_sym_eig(system.stiffness + system.mass, system.vertex_boundary_mass, k=2)
+
+
+def _renumbered(mesh, rng):
+    label = rng.permutation(mesh.num_vertices)  # old vertex v becomes label[v]
+    vertices = np.empty_like(mesh.vertices)
+    vertices[label] = mesh.vertices
+    return validate_mesh(
+        Mesh(vertices, label[mesh.triangles], label[mesh.boundary_edges],
+             mesh.boundary_triangles, domain=mesh.domain)
+    )
+
+
+def _jittered(n, rng):
+    mesh = uniform_square_mesh(n)
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), mesh.boundary_edges)
+    angle = rng.uniform(0.0, 2.0 * np.pi, interior.size)
+    vertices = mesh.vertices.copy()
+    vertices[interior] += rng.uniform(0.0, 0.2 / n, interior.size)[:, None] * np.column_stack(
+        [np.cos(angle), np.sin(angle)]
+    )
+    return validate_mesh(
+        Mesh(vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_triangles,
+             domain=mesh.domain)
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: uniform_square_mesh(1),
+        lambda rng: uniform_square_mesh(2),
+        lambda rng: _renumbered(uniform_square_mesh(8), rng),
+        lambda rng: _jittered(8, rng),
+    ],
+    ids=["square1", "square2", "renumbered8", "jittered8"],
+)
+def test_eig_keeps_the_support_last_where_a_boundary_vertex_has_no_interior_neighbour(build):
+    """On these meshes two corners touch no interior vertex (square
+    n = 1 has no interior at all), so the trailing block holds support
+    dofs coupled only to each other.  SuperLU keeps the fixed order and
+    both pencils match the dense oracle."""
+    mesh = build(np.random.default_rng(3))
+    system = assemble_system(mesh)
+    stiffness, mass, boundary_form, _ = assemble_cr(mesh)
+    for a, b in [
+        (system.stiffness + system.mass, system.vertex_boundary_mass),
+        (stiffness + mass, boundary_form),
+    ]:
+        result = general_sym_eig(a, b)
+        expected = dense_pencil_eigenvalues(a.toarray(), b.toarray())
+        assert result.n_finite == len(expected)
+        assert np.allclose(result.values, expected, rtol=1e-10, atol=0.0)
+
+
 @pytest.mark.parametrize("method", ["p1", "cr"])
 def test_eig_full_support_pencils_match_dense_oracle(method):
     """P1 on square n = 1 and CR on square n = 2 have every dof in the
@@ -263,3 +379,11 @@ def test_eig_error_cases():
         general_sym_eig(a, indefinite, k=1)
     with pytest.raises(NotPositiveDefiniteError):
         general_sym_eig(sp.csr_matrix(np.diag([1.0, -1.0])), sp.csr_matrix(np.diag([1.0, 0.0])), k=1)
+    # the error names the block that is not positive definite: an
+    # interior block without a diagonal, or the Schur complement of an
+    # SPD interior block
+    swap = sp.block_diag([sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]), sp.eye(1)], format="csr")
+    with pytest.raises(NotPositiveDefiniteError, match="interior block"):
+        general_sym_eig(swap, sp.csr_matrix(np.diag([0.0, 0.0, 1.0])), k=1)
+    with pytest.raises(NotPositiveDefiniteError, match="Schur complement"):
+        general_sym_eig(sp.csr_matrix([[2.0, 3.0], [3.0, 2.0]]), sp.csr_matrix(np.diag([0.0, 1.0])), k=1)

@@ -82,9 +82,9 @@ def test_cr_lshape16_matches_dense_oracle():
 
 
 def test_cr_eigenvalues_equal_their_rayleigh_quotients():
-    """The refined interior solves keep each eigenvalue within 5e-14 of
-    the Rayleigh quotient of its own vector (about 1e-13 without the
-    refinement step at this size)."""
+    """Each eigenvalue is the Rayleigh quotient of its own vector, summed
+    without cancellation; the plain product form of that quotient stays
+    within 5e-14 of it (1.5e-14 at worst here)."""
     mesh = uniform_lshape_mesh(16)
     stiffness, mass, boundary_form, _ = assemble_cr(mesh)
     spectrum = solve_steklov_cr(mesh, 3)
@@ -110,10 +110,11 @@ def test_cr_solve_holds_no_dense_dof_matrix():
 
 
 def test_cr_solve_streams_the_schur_complement():
-    """The CR solve at L-shape n = 32 never holds the interior solution
-    block of all support columns: its traced peak (25 MB) stays below
-    one dense (n_interior, |support|) float64 block (44 MB); solving the
-    whole block at once peaked at 185 MB."""
+    """The CR solve at L-shape n = 32 never holds a dense block over the
+    interior and support dofs: its traced peak (17 MB, the Schur
+    complement read off the factor's trailing block) stays below one
+    dense (n_interior, |support|) float64 block (44 MB); solving that
+    whole block at once, as an early route did, peaked at 185 MB."""
     mesh = uniform_lshape_mesh(32)
     boundary_form = assemble_cr(mesh)[2].tocsr()
     boundary_form.eliminate_zeros()
