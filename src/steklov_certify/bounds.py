@@ -158,7 +158,5 @@ def load_references(path):
 
 def reference_eigenvalues(domain):
     """Shipped reference eigenvalues for a domain tag, or None."""
-    text = resources.files("steklov_certify").joinpath("data/reference_eigenvalues.json").read_text()
-    doc = json.loads(text)
-    entry = doc.get(domain)
-    return None if entry is None else [float(v) for v in entry["values"]]
+    shipped = resources.files("steklov_certify") / "data" / "reference_eigenvalues.json"
+    return load_references(shipped).get(domain)

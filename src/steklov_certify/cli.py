@@ -257,11 +257,11 @@ def _dump_matrices(system, directory):
         elif not sp.issparse(matrix):
             continue
         coo = sp.coo_matrix(matrix)
-        with open(directory / f"{field.name}.txt", "w") as handle:
-            handle.write(f"# {coo.shape[0]} {coo.shape[1]}\n")
-            order = np.lexsort((coo.col, coo.row))
-            for i in order:
-                handle.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n")
+        order = np.lexsort((coo.col, coo.row))
+        np.savetxt(
+            directory / f"{field.name}.txt", np.column_stack([coo.row, coo.col, coo.data])[order],
+            fmt="%d %d %.17g", header=f"{coo.shape[0]} {coo.shape[1]}", comments="# ",
+        )
 
 
 def _positive(flag, value):

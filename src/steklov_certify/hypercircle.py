@@ -57,7 +57,7 @@ from .assembly import (
     rt_values_at_quadrature,
     scatter_csr,
 )
-from .linalg import CholeskyFactor, LinearAlgebraError, _column_norms
+from .linalg import _RESIDUAL_TOL, CholeskyFactor, LinearAlgebraError, _column_norms
 
 __all__ = [
     "EquilibrationSolver",
@@ -68,7 +68,6 @@ __all__ = [
 ]
 
 _ROUTE_TOL = 1e-9
-_RESIDUAL_TOL = 1e-10
 # constant() solves the trace basis in blocks of _BLOCK columns on up to
 # _WORKERS threads (SuperLU releases the GIL).  The width is fixed
 # whatever the worker count, so the quad form is the same bits on any

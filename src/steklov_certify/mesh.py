@@ -5,6 +5,10 @@ integer corners of the domain polygon; it keeps the lattice cells whose
 centres lie inside and splits them on alternating diagonals with array
 operations, so no mesh code loops over cells or vertices.
 
+Every Mesh the module hands out passes one builder, _checked_mesh, which
+runs every structural check: the generators return its result, read_mesh
+calls it on the typed arrays of a file and validate_mesh on a mesh's own.
+
 A mesh is a plain vertex/triangle/boundary-edge table with enough geometry
 attached to drive the certified constants: per-element longest edge, area,
 and the height with respect to each edge.  Boundary edges are stored as an
@@ -49,6 +53,13 @@ def _reject(mask, message):
     bad = np.nonzero(mask)[0]
     if bad.size:
         raise MeshError(message(int(bad[0])))
+
+
+def _signed_areas(vertices, triangles):
+    p = vertices[triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def _frozen(a, dtype):
@@ -104,10 +115,7 @@ class Mesh:
 
     def triangle_areas(self):
         """Signed areas of all triangles (positive for valid meshes)."""
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _signed_areas(self.vertices, self.triangles)
 
     def edge_lengths_per_triangle(self):
         """(nt, 3) lengths of the local edges (v0,v1), (v1,v2), (v2,v0)."""
@@ -142,11 +150,8 @@ class ElementGeometry:
 
 def element_geometry(mesh, t):
     """Area, longest edge and per-edge heights of triangle t."""
-    tri = mesh.triangles[t]
-    p = mesh.vertices[tri]
-    d1 = p[1] - p[0]
-    d2 = p[2] - p[0]
-    area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
+    p = mesh.vertices[mesh.triangles[t]]
+    area = _signed_areas(mesh.vertices, mesh.triangles[[t]])[0]
     if area <= 0.0:
         raise MeshError(f"triangle {t} is degenerate or misoriented (signed area {area})")
     lengths = np.hypot(*(np.roll(p, -1, axis=0) - p).T)
@@ -270,8 +275,7 @@ def _lattice_mesh(n, corners, domain):
         for start, end in zip(p, q)
     ])
     heads = vid[loop[:, 1], loop[:, 0]]
-    edges = np.column_stack([heads, np.roll(heads, -1)])
-    return Mesh(vertices, triangles, edges, edge_table(triangles).locate(edges)[1], domain)
+    return _checked_mesh(vertices, triangles, np.column_stack([heads, np.roll(heads, -1)]), domain)
 
 
 def uniform_square_mesh(n):
@@ -301,51 +305,53 @@ def uniform_lshape_mesh(n):
 def validate_mesh(mesh):
     """Check all structural invariants; raise MeshError naming the offender.
 
-    Verified: finite coordinates, index ranges, positive orientation,
-    conforming edge incidence (interior edges in exactly two triangles,
-    boundary edges in exactly one, matching the recorded adjacent
-    triangle and its orientation), and a single counterclockwise
-    boundary loop.
+    Runs the checks of _checked_mesh on the mesh's arrays, then compares
+    the recorded triangle of each boundary edge with the one it lies in.
     """
-    return _validate(mesh, None)
-
-
-def _validate(mesh, located):
-    """validate_mesh.  located is None, or (table, found) from a caller
-    that built the edge table of mesh.triangles, located
-    mesh.boundary_edges in it (found: their edge numbers) and took
-    mesh.boundary_triangles from that search."""
-    nv = mesh.num_vertices
-    if nv == 0 or mesh.num_triangles == 0:
-        raise MeshError("mesh has no vertices or no triangles")
-    shapes = (("vertices", "nv", 2), ("triangles", "nt", 3), ("boundary_edges", "nb", 2))
-    for name, rows, width in shapes:
-        if getattr(mesh, name).ndim != 2 or getattr(mesh, name).shape[1] != width:
-            raise MeshError(f"{name} must be an ({rows}, {width}) array")
-    finite = np.isfinite(mesh.vertices).all(axis=1)
-    _reject(~finite, lambda v: f"vertex {v} has non-finite coordinates {mesh.vertices[v]}")
-    if mesh.triangles.min(initial=0) < 0 or mesh.triangles.max(initial=-1) >= nv:
-        raise MeshError("triangle vertex index out of range")
-    if mesh.boundary_edges.min(initial=0) < 0 or mesh.boundary_edges.max(initial=-1) >= nv:
-        raise MeshError("boundary edge vertex index out of range")
-    if mesh.boundary_triangles.shape != (mesh.num_boundary_edges,):
+    checked = _checked_mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.domain)
+    recorded, actual = mesh.boundary_triangles, checked.boundary_triangles
+    if recorded.shape != actual.shape:
         raise MeshError("boundary_triangles must align with boundary_edges")
-    areas = mesh.triangle_areas()
+    _reject(recorded != actual, lambda j: (
+        f"boundary edge {j}: recorded triangle {recorded[j]}, actual {actual[j]}"
+    ))
+    return mesh
+
+
+def _checked_mesh(vertices, triangles, boundary_edges, domain):
+    """The Mesh of a float vertex array and int64 index arrays, with the
+    triangle of each boundary edge found in one edge table; raises
+    MeshError naming the first offender.
+
+    Checked: finite coordinates, index ranges, positive orientation,
+    conforming edge incidence (interior edges in exactly two triangles,
+    boundary edges in exactly one, each listed once and counterclockwise
+    in its triangle), and a single counterclockwise boundary loop.
+    """
+    # shape[:1] is () for a 0-d array, which the width check then names
+    if vertices.shape[:1] == (0,) or triangles.shape[:1] == (0,):
+        raise MeshError("mesh has no vertices or no triangles")
+    shapes = (("vertices", vertices, "nv", 2), ("triangles", triangles, "nt", 3),
+              ("boundary_edges", boundary_edges, "nb", 2))
+    for name, a, rows, width in shapes:
+        if a.ndim != 2 or a.shape[1] != width:
+            raise MeshError(f"{name} must be an ({rows}, {width}) array")
+    finite = np.isfinite(vertices).all(axis=1)
+    _reject(~finite, lambda v: f"vertex {v} has non-finite coordinates {vertices[v]}")
+    for what, a in (("triangle", triangles), ("boundary edge", boundary_edges)):
+        if a.min(initial=0) < 0 or a.max(initial=-1) >= len(vertices):
+            raise MeshError(f"{what} vertex index out of range")
+    areas = _signed_areas(vertices, triangles)
     _reject(areas <= 0.0, lambda t: (
         f"triangle {t} is degenerate or clockwise (signed area {areas[t]})"
     ))
 
-    if located is None:
-        table = edge_table(mesh.triangles)
-        found, owners = table.locate(mesh.boundary_edges)
-    else:
-        (table, found), owners = located, mesh.boundary_triangles
+    table = edge_table(triangles)
+    found, owners = table.locate(boundary_edges)
     _, first, inverse = np.unique(found, return_index=True, return_inverse=True)
-    first, recorded = first[inverse], mesh.boundary_triangles
-    repeated = first != np.arange(len(found))
-    _reject(repeated, lambda j: f"boundary edge {j} duplicates boundary edge {first[j]}")
-    _reject(owners != recorded, lambda j: (
-        f"boundary edge {j}: recorded triangle {recorded[j]}, actual {owners[j]}"
+    first = first[inverse]
+    _reject(first != np.arange(len(found)), lambda j: (
+        f"boundary edge {j} duplicates boundary edge {first[j]}"
     ))
     edges, counts = table.edges, table.counts
     _reject(counts > 2, lambda e: (
@@ -355,13 +361,14 @@ def _validate(mesh, located):
     _reject(counts == 1, lambda e: (
         f"edge {tuple(edges[e].tolist())} lies on the boundary but is missing from boundary_edges"
     ))
+    mesh = Mesh(vertices, triangles, boundary_edges, owners, domain)
     boundary_local_edges(mesh)
 
-    heads, tails = mesh.boundary_edges.T
+    heads, tails = boundary_edges.T
     _reject(tails != np.roll(heads, -1), lambda j: f"boundary loop breaks after edge {j}")
     if len(np.unique(heads)) != len(heads):
         raise MeshError("boundary loop visits a vertex twice (multiple loops?)")
-    p, q = mesh.vertices[heads], mesh.vertices[tails]
+    p, q = vertices[heads], vertices[tails]
     if np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]) <= 0.0:
         raise MeshError("boundary loop is clockwise")
     return mesh
@@ -381,8 +388,9 @@ def write_mesh(mesh, path):
 def read_mesh(path):
     """Load a mesh from the JSON interchange format and validate it.
 
-    The adjacent triangle of each boundary edge is not stored in the file;
-    it is reconstructed from the triangle table.
+    Indices must be JSON integers and coordinates JSON numbers; nothing
+    is coerced.  The adjacent triangle of each boundary edge is not stored
+    in the file; it is reconstructed from the triangle table.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -392,32 +400,25 @@ def read_mesh(path):
         raise MeshError(f"mesh file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MeshError(f"mesh file {path}: top level must be an object")
-    for key in ("vertices", "triangles", "boundary_edges"):
-        if key not in doc:
-            raise MeshError(f"mesh file {path}: missing key {key!r}")
-    domain = doc.get("domain", "custom")
-    if domain not in DOMAIN_TAGS:
-        raise MeshError(f"mesh file {path}: unknown domain tag {domain!r}")
     try:
-        vertices = np.asarray(doc["vertices"], dtype=float)
-        triangles = np.asarray(doc["triangles"], dtype=np.int64)
-        edges = np.asarray(doc["boundary_edges"], dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise MeshError(f"mesh file {path}: malformed arrays: {exc}") from exc
-    if vertices.ndim != 2 or vertices.shape[1] != 2:
-        raise MeshError(f"mesh file {path}: vertices must be (nv, 2)")
-    if triangles.ndim != 2 or triangles.shape[1] != 3:
-        raise MeshError(f"mesh file {path}: triangles must be (nt, 3)")
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise MeshError(f"mesh file {path}: boundary_edges must be (nb, 2)")
-    if np.any(triangles < 0) or np.any(triangles >= len(vertices)):
-        raise MeshError(f"mesh file {path}: triangle vertex index out of range")
-    if np.any(edges < 0) or np.any(edges >= len(vertices)):
-        raise MeshError(f"mesh file {path}: boundary edge vertex index out of range")
-
-    table = edge_table(triangles)
-    try:
-        found, owners = table.locate(edges)
+        fields = (("vertices", False), ("triangles", True), ("boundary_edges", True))
+        return _checked_mesh(*(_typed(doc, *field) for field in fields), doc.get("domain", "custom"))
     except MeshError as exc:
         raise MeshError(f"mesh file {path}: {exc}") from None
-    return _validate(Mesh(vertices, triangles, edges, owners, domain=domain), (table, found))
+
+
+def _typed(doc, key, indices):
+    """doc[key] as an int64 array of indices (JSON integers only) or a
+    float array (JSON integers and floats).  true/false, which JSON loads
+    as bool, strings and nulls are rejected, not coerced."""
+    if key not in doc:
+        raise MeshError(f"missing key {key!r}")
+    try:
+        items = np.asarray(doc[key], dtype=object)
+        wrong = set(map(type, items.ravel())) - ({int} if indices else {int, float})
+        if not wrong:
+            return items.astype(np.int64 if indices else float)
+    except (ValueError, OverflowError) as exc:
+        raise MeshError(f"malformed {key}: {exc}") from None
+    names = ", ".join(sorted(t.__name__ for t in wrong))
+    raise MeshError(f"{key} must hold {'integers' if indices else 'numbers'}, found {names}")

@@ -51,12 +51,12 @@ class SteklovSpectrum:
     groups: np.ndarray
 
 
-def degenerate_groups(values, rtol=_GROUP_RTOL):
-    """Group indices for runs of eigenvalues equal up to rtol."""
+def degenerate_groups(values):
+    """Group indices for runs of eigenvalues equal up to _GROUP_RTOL."""
     values = np.asarray(values)
     groups = np.zeros(len(values), dtype=np.int64)
     for i in range(1, len(values)):
-        close = abs(values[i] - values[i - 1]) <= rtol * max(abs(values[i]), abs(values[i - 1]))
+        close = abs(values[i] - values[i - 1]) <= _GROUP_RTOL * max(abs(values[i]), abs(values[i - 1]))
         groups[i] = groups[i - 1] + (0 if close else 1)
     return groups
 

@@ -1,6 +1,7 @@
 """Certified constants, the lower-bound map and reference data."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -305,6 +306,21 @@ def test_shipped_reference_eigenvalues():
         [0.3414160, 0.6168667, 0.9842784], rel=1e-12
     )
     assert reference_eigenvalues("custom") is None
+
+
+def test_shipped_reference_table_passes_load_references(monkeypatch):
+    """reference_eigenvalues reads the shipped table through the checked
+    reader, and the table passes its checks."""
+    import steklov_certify.bounds as bnd
+
+    shipped = resources.files("steklov_certify") / "data" / "reference_eigenvalues.json"
+    table = load_references(shipped)
+    assert sorted(table) == ["l_shape", "unit_square"]
+    read = []
+    monkeypatch.setattr(bnd, "load_references", lambda path: read.append(path) or table)
+    for domain, values in table.items():
+        assert reference_eigenvalues(domain) == values
+    assert read == [shipped, shipped]
 
 
 def test_load_references_roundtrip(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -473,3 +474,92 @@ def test_boundary_local_edges_rejects_foreign_and_reversed_edges(edge):
     bad = Mesh(mesh.vertices, mesh.triangles, edges, mesh.boundary_triangles)
     with pytest.raises(MeshError, match="boundary edge 0"):
         boundary_local_edges(bad)
+
+
+def _put(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+def _folded_square():
+    """(0, 3)^2 covered twice: by the triangles (0, 1, 2), (0, 2, 3) and by
+    a ring of eight triangles around the hole (1, 2)^2.  Every triangle is
+    counterclockwise and the sides of the square lie in two triangles each,
+    so the one boundary is the rim of the hole, which runs clockwise."""
+    vertices = [(0, 0), (3, 0), (3, 3), (0, 3), (1, 1), (2, 1), (2, 2), (1, 2)]
+    ring = [(k, (k + 1) % 4, 4 + (k + 1) % 4, k, 4 + (k + 1) % 4, 4 + k) for k in range(4)]
+    triangles = np.vstack([[(0, 1, 2), (0, 2, 3)], np.reshape(ring, (-1, 3))])
+    return np.array(vertices, dtype=float), triangles, np.array([(5, 4), (4, 7), (7, 6), (6, 5)])
+
+
+# defects of square n = 2 (v, t, e: its vertices, triangles and boundary
+# edges) and the start of the message the one mesh builder gives each
+_DEFECTS = {
+    "wrong width": (
+        lambda v, t, e: (v, np.column_stack([t, t[:, :1]]), e), "triangles must be an (nt, 3) array"),
+    "out-of-range index": (
+        lambda v, t, e: (v, _put(t, (0, 0), 99), e), "triangle vertex index out of range"),
+    "non-finite vertex": (
+        lambda v, t, e: (_put(v, (4, 1), np.nan), t, e), "vertex 4 has non-finite coordinates"),
+    "clockwise triangle": (
+        lambda v, t, e: (v, _put(t, 3, t[3, ::-1]), e), "triangle 3 is degenerate or clockwise"),
+    "dangling boundary edge": (
+        lambda v, t, e: (v, t, _put(e, 0, (0, 8))), "boundary edge 0 = (0, 8) belongs to no triangle"),
+    "duplicate boundary edge": (
+        lambda v, t, e: (v, t, _put(e, 1, e[0])), "boundary edge 1 duplicates boundary edge 0"),
+    "reversed boundary edge": (
+        lambda v, t, e: (v, t, _put(e, 0, e[0, ::-1])), "boundary edge 0 = (1, 0) is not an edge"),
+    "edge in three triangles": (
+        lambda v, t, e: (np.vstack([v, (1.0, -1.0)]), np.vstack([t, (0, 9, 4)]), e),
+        "edge (0, 4) is shared by 3 > 2 triangles"),
+    "broken loop": (
+        lambda v, t, e: (v, t, e[[1, 0, 2, 3, 4, 5, 6, 7]]), "boundary loop breaks after edge 0"),
+    "clockwise loop": (lambda v, t, e: _folded_square(), "boundary loop is clockwise"),
+}
+
+
+@pytest.mark.parametrize("defect", list(_DEFECTS))
+def test_validate_and_read_give_one_message_per_defect(defect, tmp_path):
+    """validate_mesh and read_mesh check a mesh in one builder: the same
+    defect gets the same message, read_mesh adding only the file path."""
+    edit, message = _DEFECTS[defect]
+    mesh = uniform_square_mesh(2)
+    vertices, triangles, edges = edit(mesh.vertices, mesh.triangles, mesh.boundary_edges)
+    bad = Mesh(vertices, triangles, edges, np.zeros(len(edges), dtype=np.int64))
+    with pytest.raises(MeshError) as validated:
+        validate_mesh(bad)
+    assert str(validated.value).startswith(message)
+    path = tmp_path / "bad.json"
+    write_mesh(bad, path)
+    with pytest.raises(MeshError) as read:
+        read_mesh(path)
+    assert str(read.value) == f"mesh file {path}: {validated.value}"
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("triangles", 0.4, "triangles must hold integers, found float"),
+    ("triangles", "0", "triangles must hold integers, found str"),
+    ("boundary_edges", False, "boundary_edges must hold integers, found bool"),
+    ("vertices", "0", "vertices must hold numbers, found str"),
+])
+def test_read_rejects_entries_that_are_not_json_numbers(tmp_path, field, value, message):
+    """Each value replaces a 0 in the first row of field; numpy used to
+    coerce it back to 0 (0.4 truncated, "0" parsed, false taken as 0)."""
+    doc = _doc_of(uniform_square_mesh(2))
+    assert doc[field][0][0] == 0
+    doc[field][0][0] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MeshError, match=re.escape(f"mesh file {path}: {message}")):
+        read_mesh(path)
+
+
+def test_generators_run_the_mesh_checks(monkeypatch):
+    """A generated mesh passes the checks of a read one: with every signed
+    area reported negative, the generator raises."""
+    import steklov_certify.mesh as mesh_module
+
+    monkeypatch.setattr(mesh_module, "_signed_areas", lambda v, t: -np.ones(len(t)))
+    with pytest.raises(MeshError, match="triangle 0 is degenerate or clockwise"):
+        uniform_lshape_mesh(2)
