@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import MeshError, _reject, boundary_local_edges
+from .mesh import MeshError, boundary_local_edges
 
 __all__ = [
     "ConstantsRecord",
@@ -77,12 +77,8 @@ def _boundary_elements(mesh):
     boundary edge, three (nb,) arrays; a corner triangle comes once per edge."""
     t = mesh.boundary_triangles
     local = boundary_local_edges(mesh)
-    areas = mesh.triangle_areas()[t]
-    _reject(areas <= 0.0, lambda j: (
-        f"triangle {t[j]} is degenerate or misoriented (signed area {areas[j]})"
-    ))
     lengths = mesh.edge_lengths_per_triangle()[t]
-    return areas, lengths.max(axis=1), lengths[np.arange(len(t)), local]
+    return mesh.triangle_areas()[t], lengths.max(axis=1), lengths[np.arange(len(t)), local]
 
 
 def trace_constant_bound(mesh):

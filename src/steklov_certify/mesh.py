@@ -5,9 +5,9 @@ integer corners of the domain polygon; it keeps the lattice cells whose
 centres lie inside and splits them on alternating diagonals with array
 operations, so no mesh code loops over cells or vertices.
 
-Every Mesh the module hands out passes one builder, _checked_mesh, which
-runs every structural check: the generators return its result, read_mesh
-calls it on the typed arrays of a file and validate_mesh on a mesh's own.
+A Mesh is checked when it is made: its constructor runs every structural
+check and finds the triangle of each boundary edge, so the generators,
+read_mesh and a library caller all get a checked mesh or a MeshError.
 
 A mesh is a plain vertex/triangle/boundary-edge table with enough geometry
 attached to drive the certified constants: per-element longest edge, area,
@@ -20,7 +20,7 @@ unique triangle it belongs to.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +68,27 @@ def _frozen(a, dtype):
     return out
 
 
+def _frozen_indices(a, name):
+    """a as a read-only int64 array; raises MeshError for an entry the
+    conversion would change (a fraction, a non-finite or too large value)."""
+    a = np.asarray(a)
+    with np.errstate(invalid="ignore"):
+        out = a.astype(np.int64)
+    _reject(np.ravel(out != a), lambda i: f"{name} must hold integers, found {a.ravel().tolist()[i]!r}")
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class Mesh:
-    """Triangulation with an oriented boundary loop.
+    """Triangulation with an oriented boundary loop, checked when it is made.
+
+    The constructor raises MeshError naming the first offender.  Checked:
+    finite coordinates, integer indices in range, every vertex in some
+    triangle, positive orientation, conforming edge incidence (interior
+    edges in exactly two triangles and run once each way, boundary edges
+    in exactly one, each listed once and counterclockwise in its
+    triangle), and a single counterclockwise boundary loop.
 
     Attributes
     ----------
@@ -81,25 +99,78 @@ class Mesh:
     boundary_edges : (nb, 2) int array
         Boundary edges in loop order; each row (a, b) is oriented so the
         domain lies on the left of a -> b, and consecutive rows chain.
-    boundary_triangles : (nb,) int array
-        The unique triangle containing each boundary edge.
     domain : str
         One of DOMAIN_TAGS.
+    boundary_triangles : (nb,) int array
+        The unique triangle containing each boundary edge; derived by the
+        constructor, not passed to it.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    boundary_triangles: np.ndarray
     domain: str = "custom"
+    boundary_triangles: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _frozen(self.vertices, float))
-        object.__setattr__(self, "triangles", _frozen(self.triangles, np.int64))
-        object.__setattr__(self, "boundary_edges", _frozen(self.boundary_edges, np.int64))
-        object.__setattr__(self, "boundary_triangles", _frozen(self.boundary_triangles, np.int64))
         if self.domain not in DOMAIN_TAGS:
             raise MeshError(f"unknown domain tag {self.domain!r}")
+        vertices = _frozen(self.vertices, float)
+        triangles = _frozen_indices(self.triangles, "triangles")
+        boundary_edges = _frozen_indices(self.boundary_edges, "boundary_edges")
+        # shape[:1] is () for a 0-d array, which the width check then names
+        if vertices.shape[:1] == (0,) or triangles.shape[:1] == (0,):
+            raise MeshError("mesh has no vertices or no triangles")
+        shapes = (("vertices", vertices, "nv", 2), ("triangles", triangles, "nt", 3),
+                  ("boundary_edges", boundary_edges, "nb", 2))
+        for name, a, rows, width in shapes:
+            if a.ndim != 2 or a.shape[1] != width:
+                raise MeshError(f"{name} must be an ({rows}, {width}) array")
+        finite = np.isfinite(vertices).all(axis=1)
+        _reject(~finite, lambda v: f"vertex {v} has non-finite coordinates {vertices[v]}")
+        for what, a in (("triangle", triangles), ("boundary edge", boundary_edges)):
+            if a.min(initial=0) < 0 or a.max(initial=-1) >= len(vertices):
+                raise MeshError(f"{what} vertex index out of range")
+        used = np.bincount(triangles.ravel(), minlength=len(vertices))
+        _reject(used == 0, lambda v: f"vertex {v} belongs to no triangle")
+        areas = _signed_areas(vertices, triangles)
+        _reject(areas <= 0.0, lambda t: (
+            f"triangle {t} is degenerate or clockwise (signed area {areas[t]})"
+        ))
+
+        table = edge_table(triangles)
+        found, owners = table.locate(boundary_edges)
+        _, first, inverse = np.unique(found, return_index=True, return_inverse=True)
+        first = first[inverse]
+        _reject(first != np.arange(len(found)), lambda j: (
+            f"boundary edge {j} duplicates boundary edge {first[j]}"
+        ))
+        edges, counts = table.edges, table.counts
+        _reject(counts > 2, lambda e: (
+            f"edge {tuple(edges[e].tolist())} is shared by {counts[e]} > 2 triangles"
+        ))
+        # +1 per triangle that runs the edge min -> max, -1 per max -> min
+        forward = np.where(triangles < np.roll(triangles, -1, axis=1), 1.0, -1.0)
+        turns = np.bincount(table.tri_edges.ravel(), forward.ravel(), len(edges))
+        _reject(np.abs(turns) > 1, lambda e: (
+            f"edge {tuple(edges[e].tolist())} runs the same way in both its triangles (folded mesh)"
+        ))
+        counts[found] = 0
+        _reject(counts == 1, lambda e: (
+            f"edge {tuple(edges[e].tolist())} lies on the boundary but is missing from boundary_edges"
+        ))
+        names = ("vertices", "triangles", "boundary_edges", "boundary_triangles")
+        for name, a in zip(names, (vertices, triangles, boundary_edges, _frozen(owners, np.int64))):
+            object.__setattr__(self, name, a)
+        boundary_local_edges(self)
+
+        heads, tails = boundary_edges.T
+        _reject(tails != np.roll(heads, -1), lambda j: f"boundary loop breaks after edge {j}")
+        if len(np.unique(heads)) != len(heads):
+            raise MeshError("boundary loop visits a vertex twice (multiple loops?)")
+        p, q = vertices[heads], vertices[tails]
+        if np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]) <= 0.0:
+            raise MeshError("boundary loop is clockwise")
 
     @property
     def num_vertices(self):
@@ -152,8 +223,6 @@ def element_geometry(mesh, t):
     """Area, longest edge and per-edge heights of triangle t."""
     p = mesh.vertices[mesh.triangles[t]]
     area = _signed_areas(mesh.vertices, mesh.triangles[[t]])[0]
-    if area <= 0.0:
-        raise MeshError(f"triangle {t} is degenerate or misoriented (signed area {area})")
     lengths = np.hypot(*(np.roll(p, -1, axis=0) - p).T)
     return ElementGeometry(
         area=float(area),
@@ -164,17 +233,16 @@ def element_geometry(mesh, t):
 
 
 def boundary_local_edges(mesh):
-    """Local edge l of each boundary edge (a, b) in its recorded triangle.
+    """Local edge l of each boundary edge (a, b) in its triangle.
 
     Returns an (nb,) int array with tri[l] == a and tri[(l + 1) % 3] == b
     for tri = triangles[boundary_triangles[j]]; raises MeshError for a
     boundary edge that is not a counterclockwise edge of that triangle.
     """
     t = mesh.boundary_triangles
-    inside = (t >= 0) & (t < mesh.num_triangles)
-    owner = mesh.triangles[np.where(inside, t, 0)]
+    owner = mesh.triangles[t]
     a, b = mesh.boundary_edges[:, :1], mesh.boundary_edges[:, 1:]
-    hit = (owner == a) & (np.roll(owner, -1, axis=1) == b) & inside[:, None]
+    hit = (owner == a) & (np.roll(owner, -1, axis=1) == b)
     _reject(hit.sum(axis=1) != 1, lambda j: (
         f"boundary edge {j} = ({a[j, 0]}, {b[j, 0]}) is not an edge of triangle {t[j]} "
         "in its counterclockwise orientation"
@@ -275,7 +343,7 @@ def _lattice_mesh(n, corners, domain):
         for start, end in zip(p, q)
     ])
     heads = vid[loop[:, 1], loop[:, 0]]
-    return _checked_mesh(vertices, triangles, np.column_stack([heads, np.roll(heads, -1)]), domain)
+    return Mesh(vertices, triangles, np.column_stack([heads, np.roll(heads, -1)]), domain)
 
 
 def uniform_square_mesh(n):
@@ -303,74 +371,9 @@ def uniform_lshape_mesh(n):
 
 
 def validate_mesh(mesh):
-    """Check all structural invariants; raise MeshError naming the offender.
-
-    Runs the checks of _checked_mesh on the mesh's arrays, then compares
-    the recorded triangle of each boundary edge with the one it lies in.
-    """
-    checked = _checked_mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.domain)
-    recorded, actual = mesh.boundary_triangles, checked.boundary_triangles
-    if recorded.shape != actual.shape:
-        raise MeshError("boundary_triangles must align with boundary_edges")
-    _reject(recorded != actual, lambda j: (
-        f"boundary edge {j}: recorded triangle {recorded[j]}, actual {actual[j]}"
-    ))
-    return mesh
-
-
-def _checked_mesh(vertices, triangles, boundary_edges, domain):
-    """The Mesh of a float vertex array and int64 index arrays, with the
-    triangle of each boundary edge found in one edge table; raises
-    MeshError naming the first offender.
-
-    Checked: finite coordinates, index ranges, positive orientation,
-    conforming edge incidence (interior edges in exactly two triangles,
-    boundary edges in exactly one, each listed once and counterclockwise
-    in its triangle), and a single counterclockwise boundary loop.
-    """
-    # shape[:1] is () for a 0-d array, which the width check then names
-    if vertices.shape[:1] == (0,) or triangles.shape[:1] == (0,):
-        raise MeshError("mesh has no vertices or no triangles")
-    shapes = (("vertices", vertices, "nv", 2), ("triangles", triangles, "nt", 3),
-              ("boundary_edges", boundary_edges, "nb", 2))
-    for name, a, rows, width in shapes:
-        if a.ndim != 2 or a.shape[1] != width:
-            raise MeshError(f"{name} must be an ({rows}, {width}) array")
-    finite = np.isfinite(vertices).all(axis=1)
-    _reject(~finite, lambda v: f"vertex {v} has non-finite coordinates {vertices[v]}")
-    for what, a in (("triangle", triangles), ("boundary edge", boundary_edges)):
-        if a.min(initial=0) < 0 or a.max(initial=-1) >= len(vertices):
-            raise MeshError(f"{what} vertex index out of range")
-    areas = _signed_areas(vertices, triangles)
-    _reject(areas <= 0.0, lambda t: (
-        f"triangle {t} is degenerate or clockwise (signed area {areas[t]})"
-    ))
-
-    table = edge_table(triangles)
-    found, owners = table.locate(boundary_edges)
-    _, first, inverse = np.unique(found, return_index=True, return_inverse=True)
-    first = first[inverse]
-    _reject(first != np.arange(len(found)), lambda j: (
-        f"boundary edge {j} duplicates boundary edge {first[j]}"
-    ))
-    edges, counts = table.edges, table.counts
-    _reject(counts > 2, lambda e: (
-        f"edge {tuple(edges[e].tolist())} is shared by {counts[e]} > 2 triangles"
-    ))
-    counts[found] = 0
-    _reject(counts == 1, lambda e: (
-        f"edge {tuple(edges[e].tolist())} lies on the boundary but is missing from boundary_edges"
-    ))
-    mesh = Mesh(vertices, triangles, boundary_edges, owners, domain)
-    boundary_local_edges(mesh)
-
-    heads, tails = boundary_edges.T
-    _reject(tails != np.roll(heads, -1), lambda j: f"boundary loop breaks after edge {j}")
-    if len(np.unique(heads)) != len(heads):
-        raise MeshError("boundary loop visits a vertex twice (multiple loops?)")
-    p, q = vertices[heads], vertices[tails]
-    if np.sum(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]) <= 0.0:
-        raise MeshError("boundary loop is clockwise")
+    """Re-run the checks of the Mesh constructor on a mesh's arrays and
+    return the mesh; raises MeshError naming the first offender."""
+    Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.domain)
     return mesh
 
 
@@ -402,7 +405,7 @@ def read_mesh(path):
         raise MeshError(f"mesh file {path}: top level must be an object")
     try:
         fields = (("vertices", False), ("triangles", True), ("boundary_edges", True))
-        return _checked_mesh(*(_typed(doc, *field) for field in fields), doc.get("domain", "custom"))
+        return Mesh(*(_typed(doc, *entry) for entry in fields), doc.get("domain", "custom"))
     except MeshError as exc:
         raise MeshError(f"mesh file {path}: {exc}") from None
 

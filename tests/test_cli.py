@@ -142,6 +142,19 @@ def test_bounds_from_mesh_file(tmp_path, capsys):
     assert row["n"] == "" and row["h_token"] == ""
 
 
+def test_bounds_rejects_mesh_file_with_unused_vertex(tmp_path, capsys):
+    """Square n = 2 plus a vertex in no triangle: the CR route used to
+    certify it, the conforming one to fail late in the P1 factor."""
+    mesh_file = tmp_path / "m.json"
+    assert _run(["mesh", "--domain", "square", "--n", "2", "--out", str(mesh_file)], capsys)[0] == 0
+    doc = json.loads(mesh_file.read_text())
+    doc["vertices"].append([5.0, 5.0])
+    mesh_file.write_text(json.dumps(doc))
+    code, out, err = _run(["bounds", "--mesh", str(mesh_file), "--method", "cr"], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: mesh file {mesh_file}: vertex 9 belongs to no triangle\n"
+
+
 def test_bounds_no_refs(capsys):
     code, out, _ = _run(
         ["bounds", "--domain", "square", "--n", "4", "--k", "2", "--no-refs"], capsys

@@ -297,8 +297,7 @@ def _renumbered(mesh, rng):
     vertices = np.empty_like(mesh.vertices)
     vertices[label] = mesh.vertices
     return validate_mesh(
-        Mesh(vertices, label[mesh.triangles], label[mesh.boundary_edges],
-             mesh.boundary_triangles, domain=mesh.domain)
+        Mesh(vertices, label[mesh.triangles], label[mesh.boundary_edges], domain=mesh.domain)
     )
 
 
@@ -311,8 +310,7 @@ def _jittered(n, rng):
         [np.cos(angle), np.sin(angle)]
     )
     return validate_mesh(
-        Mesh(vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_triangles,
-             domain=mesh.domain)
+        Mesh(vertices, mesh.triangles, mesh.boundary_edges, domain=mesh.domain)
     )
 
 

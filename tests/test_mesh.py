@@ -329,65 +329,37 @@ def test_validate_rejects_broken_loop():
     mesh = uniform_square_mesh(1)
     edges = mesh.boundary_edges.copy()
     edges[[0, 1]] = edges[[1, 0]]  # out of chain order
-    bad = Mesh(
-        mesh.vertices,
-        mesh.triangles,
-        edges,
-        mesh.boundary_triangles[[1, 0, 2, 3]],
-        domain="custom",
-    )
     with pytest.raises(MeshError):
-        validate_mesh(bad)
+        Mesh(mesh.vertices, mesh.triangles, edges, domain="custom")
 
 
 def test_validate_rejects_missing_boundary_edge():
     mesh = uniform_square_mesh(1)
-    bad = Mesh(
-        mesh.vertices,
-        mesh.triangles,
-        mesh.boundary_edges[:3],
-        mesh.boundary_triangles[:3],
-        domain="custom",
-    )
     with pytest.raises(MeshError):
-        validate_mesh(bad)
+        Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges[:3], domain="custom")
 
 
-def _with_boundary(mesh, edges, triangles, extra_vertices=(), extra_triangles=()):
+def _with_boundary(mesh, edges, extra_vertices=(), extra_triangles=()):
     return Mesh(
         np.vstack([mesh.vertices, np.reshape(extra_vertices, (-1, 2))]),
         np.vstack([mesh.triangles, np.reshape(extra_triangles, (-1, 3))]),
         edges,
-        triangles,
     )
 
 
 def test_validate_rejects_duplicate_boundary_edge():
     mesh = uniform_square_mesh(2)
-    edges, recorded = mesh.boundary_edges.copy(), mesh.boundary_triangles.copy()
-    edges[1], recorded[1] = edges[0], recorded[0]
+    edges = mesh.boundary_edges.copy()
+    edges[1] = edges[0]
     with pytest.raises(MeshError, match="boundary edge 1 duplicates boundary edge 0"):
-        validate_mesh(_with_boundary(mesh, edges, recorded))
+        _with_boundary(mesh, edges)
 
 
 def test_validate_rejects_edge_in_three_triangles():
     """Square n = 1 plus a triangle (0, 4, 3) on its diagonal (0, 3)."""
     mesh = uniform_square_mesh(1)
-    bad = _with_boundary(
-        mesh, mesh.boundary_edges, mesh.boundary_triangles, [2.0, 0.0], [0, 4, 3]
-    )
     with pytest.raises(MeshError, match=r"edge \(0, 3\) is shared by 3 > 2 triangles"):
-        validate_mesh(bad)
-
-
-def test_validate_rejects_wrong_recorded_triangle():
-    mesh = uniform_square_mesh(2)
-    recorded = mesh.boundary_triangles.copy()
-    actual = recorded[0]
-    recorded[0] = (actual + 1) % mesh.num_triangles
-    message = f"boundary edge 0: recorded triangle {recorded[0]}, actual {actual}"
-    with pytest.raises(MeshError, match=message):
-        validate_mesh(_with_boundary(mesh, mesh.boundary_edges, recorded))
+        _with_boundary(mesh, mesh.boundary_edges, [2.0, 0.0], [0, 4, 3])
 
 
 def test_validate_rejects_interior_edge_listed_as_boundary():
@@ -396,7 +368,21 @@ def test_validate_rejects_interior_edge_listed_as_boundary():
     edges = mesh.boundary_edges.copy()
     edges[1] = (0, 3)
     with pytest.raises(MeshError, match=r"boundary edge 1 = \(0, 3\) is shared by 2 triangles"):
-        validate_mesh(_with_boundary(mesh, edges, mesh.boundary_triangles))
+        _with_boundary(mesh, edges)
+
+
+@pytest.mark.parametrize("field", ["triangles", "boundary_edges"])
+def test_fractional_indices_are_rejected(field):
+    """A fraction in an index array names the array; numpy used to
+    truncate it, giving back the original mesh.  Whole-number floats are
+    indices like any other."""
+    mesh = uniform_square_mesh(2)
+    arrays = dict(vertices=mesh.vertices, triangles=mesh.triangles, boundary_edges=mesh.boundary_edges)
+    whole = Mesh(**{**arrays, field: arrays[field].astype(float)})
+    assert np.array_equal(getattr(whole, field), arrays[field])
+    assert getattr(whole, field).dtype == np.int64
+    with pytest.raises(MeshError, match=f"^{field} must hold integers, found 0.4$"):
+        Mesh(**{**arrays, field: arrays[field] + 0.4})
 
 
 @pytest.mark.parametrize("gen", [uniform_square_mesh, uniform_lshape_mesh])
@@ -420,15 +406,10 @@ def test_edge_table_matches_sorted_pairs_under_relabelling(gen, rng):
 def test_validate_rejects_wrong_array_width(field, width):
     """A fourth triangle column used to be ignored silently."""
     mesh = uniform_square_mesh(1)
-    arrays = dict(
-        vertices=mesh.vertices,
-        triangles=mesh.triangles,
-        boundary_edges=mesh.boundary_edges,
-        boundary_triangles=mesh.boundary_triangles,
-    )
+    arrays = dict(vertices=mesh.vertices, triangles=mesh.triangles, boundary_edges=mesh.boundary_edges)
     arrays[field] = np.column_stack([arrays[field], arrays[field][:, :width - arrays[field].shape[1]]])
     with pytest.raises(MeshError, match=rf"{field} must be an \(n., {width - 1}\) array"):
-        validate_mesh(Mesh(**arrays))
+        Mesh(**arrays)
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
@@ -438,21 +419,14 @@ def test_validate_rejects_non_finite_vertex(bad_value):
     mesh = uniform_square_mesh(4)
     vertices = mesh.vertices.copy()
     vertices[7, 1] = bad_value
-    bad = Mesh(vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_triangles)
     with pytest.raises(MeshError, match="vertex 7 has non-finite coordinates"):
-        validate_mesh(bad)
+        Mesh(vertices, mesh.triangles, mesh.boundary_edges)
 
 
 def test_unknown_domain_tag_rejected():
     mesh = uniform_square_mesh(1)
-    with pytest.raises(MeshError):
-        Mesh(
-            mesh.vertices,
-            mesh.triangles,
-            mesh.boundary_edges,
-            mesh.boundary_triangles,
-            domain="hexagon",
-        )
+    with pytest.raises(MeshError, match="unknown domain tag 'hexagon'"):
+        Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, domain="hexagon")
 
 
 def test_boundary_local_edges_finds_each_edge_in_its_triangle():
@@ -467,13 +441,13 @@ def test_boundary_local_edges_finds_each_edge_in_its_triangle():
 @pytest.mark.parametrize("edge", [(0, 8), (1, 0)])
 def test_boundary_local_edges_rejects_foreign_and_reversed_edges(edge):
     """(0, 8) is no edge of the square n = 2 mesh; (1, 0) is its first
-    boundary edge run clockwise."""
+    boundary edge run clockwise.  The constructor rejects both, so no
+    consumer of boundary_local_edges ever sees them."""
     mesh = uniform_square_mesh(2)
     edges = mesh.boundary_edges.copy()
     edges[0] = edge
-    bad = Mesh(mesh.vertices, mesh.triangles, edges, mesh.boundary_triangles)
     with pytest.raises(MeshError, match="boundary edge 0"):
-        boundary_local_edges(bad)
+        Mesh(mesh.vertices, mesh.triangles, edges)
 
 
 def _put(a, index, value):
@@ -493,8 +467,17 @@ def _folded_square():
     return np.array(vertices, dtype=float), triangles, np.array([(5, 4), (4, 7), (7, 6), (6, 5)])
 
 
+def _doubled_far_triangle():
+    """Square n = 1 plus a far triangle (4, 5, 6) listed twice: each of
+    its edges lies in two triangles that run it the same way.  Every other
+    check passes, and the triangles cover area 2 for a unit square loop."""
+    square = uniform_square_mesh(1)
+    vertices = np.vstack([square.vertices, [(3.0, 0.0), (4.0, 0.0), (3.0, 1.0)]])
+    return vertices, np.vstack([square.triangles, (4, 5, 6), (4, 5, 6)]), square.boundary_edges
+
+
 # defects of square n = 2 (v, t, e: its vertices, triangles and boundary
-# edges) and the start of the message the one mesh builder gives each
+# edges) and the start of the message the Mesh constructor gives each
 _DEFECTS = {
     "wrong width": (
         lambda v, t, e: (v, np.column_stack([t, t[:, :1]]), e), "triangles must be an (nt, 3) array"),
@@ -515,23 +498,28 @@ _DEFECTS = {
         "edge (0, 4) is shared by 3 > 2 triangles"),
     "broken loop": (
         lambda v, t, e: (v, t, e[[1, 0, 2, 3, 4, 5, 6, 7]]), "boundary loop breaks after edge 0"),
-    "clockwise loop": (lambda v, t, e: _folded_square(), "boundary loop is clockwise"),
+    "clockwise loop": (
+        lambda v, t, e: _folded_square(), "edge (0, 1) runs the same way in both its triangles"),
+    "folded mesh": (
+        lambda v, t, e: _doubled_far_triangle(), "edge (4, 5) runs the same way in both its triangles"),
+    "unused vertex": (
+        lambda v, t, e: (np.vstack([v, (5.0, 5.0)]), t, e), "vertex 9 belongs to no triangle"),
 }
 
 
 @pytest.mark.parametrize("defect", list(_DEFECTS))
 def test_validate_and_read_give_one_message_per_defect(defect, tmp_path):
-    """validate_mesh and read_mesh check a mesh in one builder: the same
+    """The Mesh constructor and read_mesh run one set of checks: the same
     defect gets the same message, read_mesh adding only the file path."""
     edit, message = _DEFECTS[defect]
     mesh = uniform_square_mesh(2)
     vertices, triangles, edges = edit(mesh.vertices, mesh.triangles, mesh.boundary_edges)
-    bad = Mesh(vertices, triangles, edges, np.zeros(len(edges), dtype=np.int64))
     with pytest.raises(MeshError) as validated:
-        validate_mesh(bad)
+        Mesh(vertices, triangles, edges)
     assert str(validated.value).startswith(message)
     path = tmp_path / "bad.json"
-    write_mesh(bad, path)
+    doc = {"vertices": vertices, "triangles": triangles, "boundary_edges": edges}
+    path.write_text(json.dumps({key: np.asarray(a).tolist() for key, a in doc.items()}))
     with pytest.raises(MeshError) as read:
         read_mesh(path)
     assert str(read.value) == f"mesh file {path}: {validated.value}"

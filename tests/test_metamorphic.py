@@ -30,15 +30,19 @@ _CONSTANTS = ("trace_const", "trace_simple", "proj_const", "cert_const", "cr_con
 
 
 def _rebuild(mesh, vertices=None, triangles=None, boundary_edges=None, boundary_triangles=None):
-    return validate_mesh(
+    """The mesh with the given arrays replaced; boundary_triangles, when
+    given, is what the constructor must find for the new arrays."""
+    rebuilt = validate_mesh(
         Mesh(
             mesh.vertices if vertices is None else vertices,
             mesh.triangles if triangles is None else triangles,
             mesh.boundary_edges if boundary_edges is None else boundary_edges,
-            mesh.boundary_triangles if boundary_triangles is None else boundary_triangles,
             domain=mesh.domain,
         )
     )
+    expected = mesh.boundary_triangles if boundary_triangles is None else boundary_triangles
+    assert np.array_equal(rebuilt.boundary_triangles, expected)
+    return rebuilt
 
 
 def _permute_vertices(mesh, rng, tmp_path):

@@ -20,7 +20,7 @@ def _one_triangle_mesh(points):
     vertices = np.array(points, dtype=float)
     triangles = np.array([[0, 1, 2]])
     edges = np.array([[0, 1], [1, 2], [2, 0]])
-    return Mesh(vertices, triangles, edges, np.zeros(3, dtype=np.int64))
+    return Mesh(vertices, triangles, edges)
 
 
 RIGHT = [sp.Rational(0), sp.Rational(0)], [sp.Rational(1), sp.Rational(0)], [
