@@ -34,6 +34,17 @@ moments sum to |Omega|.  One multiplier, on the interior edge nearest
 the vertex centroid, is pinned to zero, the remaining positive definite
 system is factored once, and the dropped equation is checked as the
 compatibility residual.
+
+The constant needs the error form on all s trace directions, but only
+s/2 of them reach the conforming problem: the boundary coupling has
+nonzero rows at the s/2 boundary vertices alone.  On its kernel the
+Neumann solution and the element loads vanish, and the form is the
+boundary block of the inverse of the pinned edge system, the inverse of
+its Schur complement on the boundary edge dofs (static condensation,
+Brezzi & Fortin 1991).  That complement is the trailing block of one
+throwaway factor which orders the boundary dofs last; it is made once,
+before the kept minimum degree factor that serves the s/2 solved
+directions and one cross-check block of the others.
 """
 
 from __future__ import annotations
@@ -57,7 +68,15 @@ from .assembly import (
     rt_values_at_quadrature,
     scatter_csr,
 )
-from .linalg import _RESIDUAL_TOL, CholeskyFactor, LinearAlgebraError, _column_norms
+from .linalg import (
+    _RANK_TOL,
+    _RESIDUAL_TOL,
+    CholeskyFactor,
+    LinearAlgebraError,
+    _check_residual,
+    _column_norms,
+    _trailing_root,
+)
 
 __all__ = [
     "EquilibrationSolver",
@@ -68,11 +87,12 @@ __all__ = [
 ]
 
 _ROUTE_TOL = 1e-9
-# constant() solves the trace basis in blocks of _BLOCK columns on up to
-# _WORKERS threads (SuperLU releases the GIL).  The width is fixed
-# whatever the worker count, so the quad form is the same bits on any
-# host; at 8, two blocks in flight hold the 16 columns of one serial
-# chunk, while two 16-column blocks raised peak RSS by over 10%
+# constant() solves its half of the trace basis, and one cross-check
+# block, in blocks of _BLOCK columns on up to _WORKERS threads (SuperLU
+# releases the GIL).  The width is fixed whatever the worker count, so
+# the quad form is the same bits on any host; at 8, two blocks in flight
+# hold the 16 columns of one serial chunk, while two 16-column blocks
+# raised peak RSS by over 10%
 _BLOCK = 8
 _WORKERS = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -119,7 +139,7 @@ class EquilibrationSolver:
     """Factor the conforming and the hybridized flux systems of one mesh once.
 
     All solves against the same mesh share the two factorizations, which
-    is what makes the s solves behind the projection constant and the
+    is what makes the s/2 solves behind the projection constant and the
     repeated draws in the verification suites cheap.
     """
 
@@ -160,7 +180,9 @@ class EquilibrationSolver:
             np.repeat(broken, 3, axis=1), np.tile(broken, (1, 3)), inv[:, 8:, 8:], (3 * nt, 3 * nt)
         )
         self._flux_of_edge = -inv[:, :8, :6] * sign[:, None, :]
-        self._flux_of_load = inv[:, :8, 8:]
+        # a copy, so that the (nt, 11, 11) stacks go before any edge factor
+        self._flux_of_load = inv[:, :8, 8:].copy()
+        del local, inv, edge_block
         self._edge_dof = edge_dof
         self._dof_count = np.bincount(el.gdofs.ravel(), minlength=dofs.dim_rt_interior + s)
 
@@ -183,7 +205,16 @@ class EquilibrationSolver:
         self._pin = 2 * int(np.argmin(np.where(dofs.edge_is_boundary, np.inf, depth)))
         self._free = np.delete(np.arange(n_edge), self._pin)
         self._pin_row = schur[self._pin]
-        self._edges = CholeskyFactor(schur[self._free][:, self._free])
+        edges = schur[self._free][:, self._free]
+        del schur
+        # the root of the Schur complement of the pinned system on the
+        # boundary dofs, in the row order of the trace map, from a
+        # throwaway factor that orders them last (1.6 times the fill of
+        # the minimum degree factor at square n = 64).  Its inertia proves
+        # the matrix positive definite, so the kept factor reads no pivots
+        last = boundary_dof - (boundary_dof > self._pin)
+        self._boundary_root = _trailing_root(edges, last)[2].toarray(order="F")
+        self._edges = CholeskyFactor(edges, _spd=True)
         self._area = float(system.broken_moments.sum())
 
     def _trace_data(self, data):
@@ -294,20 +325,36 @@ class EquilibrationSolver:
     def constant(self):
         """Projection error constant: worst error over unit boundary data.
 
-        Solves the conforming and flux problems for every trace basis
-        vector, assembles the error quadratic form B on the trace space
-        and takes the largest eigenvalue of B against the trace Gram
-        matrix.  The basis runs in blocks of _BLOCK columns c_i of the
-        boundary coupling C.  As P1 = stiffness + mass is symmetric, the
-        Neumann solution y_i = P1^{-1} c_i enters every product as
-        y_i^T v = c_i^T P1^{-1} v, so a block adds C^T (z - y) with
+        Assembles the error quadratic form Q on the trace space and takes
+        the largest eigenvalue of Q against the trace Gram matrix.  Data
+        enter the conforming problem only through C g, C the boundary
+        coupling, whose rows at the s/2 boundary vertices form C_b.  A
+        complete QR of C_b^T splits the trace space into orthonormal
+        bases G_A of its range (rank s/2, checked) and G_N of ker C_b.
+
+        On G_A the conforming and flux problems are solved, in blocks of
+        _BLOCK columns b of G_A.  As P1 = stiffness + mass is symmetric,
+        the Neumann solution y = P1^{-1} C b enters every product as
+        y^T v = b^T C^T P1^{-1} v, so a block adds C^T (z - y) with
         z = P1^{-1} (mass y - broken_coupling^T lam), and no (n_P1, s)
-        array is formed.  The flux energy x_i^T M x_j is read off the
-        multipliers of column j as -loads_i^T lam_j - traces_i^T mu_j.
+        array is formed.  The flux energy of two data is read off the
+        multipliers of one of them as -loads^T lam - traces^T mu.  This
+        gives Q G_A.
+
+        On G_N the Neumann solution, the loads and the mean shift vanish
+        (1^T C is the boundary integral), so G_N^T Q G_N = W^T W with
+        W = R^{-1} T G_N: T sends data to the boundary edge multipliers
+        and R is the root of the Schur complement S = R R^T of the pinned
+        edge system on them, read off in __init__.  Then
+        Q = G [[G_A^T Q G_A, .], [G_N^T Q G_A, W^T W]] G^T with G = [G_A |
+        G_N] and the upper right block mirrored.  One more block, the
+        first _BLOCK columns of G_N, runs through the solves as a cross-
+        check: its columns of Q must match the assembled ones to 1e-10
+        relative, each column by itself, or LinearAlgebraError is raised.
 
         The blocks run on a pool of min(_WORKERS, blocks) threads; each
-        writes only its own columns of B and sums nothing across blocks,
-        so B does not depend on the thread count.  Every block keeps the
+        writes only its own columns and sums nothing across blocks, so Q
+        does not depend on the thread count.  Every block keeps the
         per-column residual checks of its solves and the compatibility
         check; the first error raised in a block reaches the caller
         unchanged and the blocks not yet started are cancelled.  Blocks
@@ -316,32 +363,58 @@ class EquilibrationSolver:
         """
         sysm = self.system
         s = sysm.dofs.dim_trace
+        half = s // 2
         coupling = sysm.boundary_coupling
+        rows = np.flatnonzero(np.diff(coupling.indptr))
+        basis, r = sla.qr(coupling[rows].T.toarray(), check_finite=False)
+        pivots = np.abs(np.diag(r))
+        if len(rows) != half or not pivots.min() > _RANK_TOL * pivots.max():
+            raise LinearAlgebraError(
+                f"boundary coupling: {len(rows)} boundary vertices for {s} trace dofs, "
+                "expected full rank s/2"
+            )
         volumes = coupling.T @ self._p1.solve(sysm.mass @ np.ones(sysm.dofs.dim_p1))
         shifts = (volumes - np.asarray(sysm.boundary_mass.sum(axis=0)).ravel()) / self._area
-        quad = np.empty((s, s))
         w = sysm.broken_moments
+        quad_a = np.empty((s, half))
+        width = min(_BLOCK, half)
+        check = np.empty((s, width))
 
-        def block(start):
-            cols = slice(start, min(start + _BLOCK, s))
-            y = self._p1._solve(coupling[:, cols])
+        def block(cols, out):
+            """Columns Q b of the error form for the basis columns b."""
+            y = self._p1._solve(coupling @ cols)
             loads = sysm.broken_coupling @ y
-            loads -= np.outer(w, shifts[cols])
-            traces = self._trace_to_edge[:, cols].toarray()
+            loads -= np.outer(w, shifts @ cols)
+            traces = self._trace_to_edge @ cols
             lam, mu = self._multipliers(loads, traces, self._edges._solve)
             z = self._p1._solve(sysm.mass @ y - sysm.broken_coupling.T @ lam)
-            quad[:, cols] = (
+            out[:] = (
                 coupling.T @ (z - y)
-                - np.outer(volumes, shifts[cols])
-                - np.outer(shifts, volumes[cols] - w @ lam)
+                - np.outer(volumes, shifts @ cols)
+                - np.outer(shifts, volumes @ cols - w @ lam)
                 - self._trace_to_edge.T @ mu
             )
 
-        starts = range(0, s, _BLOCK)
-        with ThreadPoolExecutor(min(_WORKERS, len(starts))) as pool:
+        starts = range(0, half, _BLOCK)
+        columns = [basis[:, i : i + _BLOCK] for i in starts] + [basis[:, half : half + width]]
+        outputs = [quad_a[:, i : i + _BLOCK] for i in starts] + [check]
+        with ThreadPoolExecutor(min(_WORKERS, len(columns))) as pool:
             # map re-raises a block's error and cancels the pending blocks
-            for _ in pool.map(block, starts):
+            for _ in pool.map(block, columns, outputs):
                 pass
+        # Q in the coordinates of G: the solved columns, their mirror, and
+        # the Schur block W^T W; the solved G_N block must match G form
+        form = np.empty((s, s))
+        form[:, :half] = basis.T @ quad_a
+        form[:half, half:] = form[half:, :half].T
+        root_w = sla.blas.dtrsm(
+            1.0, self._boundary_root, abs(sysm.trace_map) @ basis[:, half:], lower=1
+        )
+        form[half:, half:] = root_w.T @ root_w
+        _check_residual(
+            lambda cols: basis @ cols, form[:, half : half + width], check, "kappa cross-check"
+        )
+        quad = basis @ form @ basis.T
         norm = np.linalg.norm(quad)
         asym = np.linalg.norm(quad - quad.T)
         if norm > 0 and asym > 1e-8 * norm:

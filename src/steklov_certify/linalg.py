@@ -11,6 +11,12 @@ sparse factorization of A whose order puts the support of B last.  Each
 eigenvalue is the Rayleigh quotient of its returned vector, and each
 pair's residual is checked.
 
+That step, a factor with chosen dofs last whose inertia is checked and
+whose trailing root C (S = C C^T) is returned, is one private helper,
+_trailing_root.  The flux equilibration uses it too: the Schur
+complement of its edge-multiplier system on the boundary edge dofs gives
+the half of the projection constant's form that needs no solves.
+
 Factorizations are deterministic sparse direct methods.  A symmetric
 SuperLU factor serves every positive definite system: the conforming
 matrix, the hybridized edge-multiplier system of the flux equilibration
@@ -20,6 +26,9 @@ it solves the unhybridized flux KKT system that the test suite keeps as
 an oracle, and perfbench traces it.  The only dense matrices are
 |support| x |support|, the size of the boundary dofs: the triangular
 factor C of S = C C^T and the reduced pencil, on which LAPACK eigh runs.
+A factor whose matrix another factor has already proven positive
+definite skips the pivot read, so scipy keeps no CSC copies of its L
+and U.
 Every solution column is verified against a residual tolerance and
 rejected loudly rather than returned silently wrong.
 """
@@ -172,9 +181,13 @@ class CholeskyFactor:
     NotPositiveDefiniteError.
 
     The private _fixed_order=True keeps the order of a as given
-    (NATURAL), so that general_sym_eig can read a Schur complement off
+    (NATURAL), so that _trailing_root can read a Schur complement off
     the trailing block of L and U; a factor that moved any row anyway
-    raises LinearAlgebraError.
+    raises LinearAlgebraError.  The private _spd=True is for a matrix
+    whose inertia another factor of it has already checked (Sylvester's
+    law does not depend on the order): it still rejects a swapped row
+    but reads no pivots, since reading U makes scipy keep CSC copies of
+    L and U for the factor's lifetime.
 
     A solve is one SuperLU pass, in chunks of _RHS_CHUNK columns, and
     every column's residual is checked.  It takes no refinement step: on
@@ -188,7 +201,7 @@ class CholeskyFactor:
     and spans opened on two threads at once would close out of order.
     """
 
-    def __init__(self, a, _fixed_order=False):
+    def __init__(self, a, _fixed_order=False, _spd=False):
         a = sp.csc_matrix(a, dtype=float)
         try:
             lu = spla.splu(
@@ -199,17 +212,20 @@ class CholeskyFactor:
             )
         except RuntimeError as exc:
             raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
-        pivots = lu.U.diagonal()
-        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > 0.0)):
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: smallest pivot {pivots.min():.3e}"
-            )
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise NotPositiveDefiniteError("matrix is not positive definite: a row was swapped")
+        if not _spd:
+            pivots = lu.U.diagonal()
+            if not np.all(pivots > 0.0):
+                raise NotPositiveDefiniteError(
+                    f"matrix is not positive definite: smallest pivot {pivots.min():.3e}"
+                )
         # SuperLU may postorder even a NATURAL order along its
         # elimination tree; no pencil in the test suite makes it
         if _fixed_order and not np.array_equal(lu.perm_c, np.arange(a.shape[0])):
             raise LinearAlgebraError("SuperLU reordered a matrix whose elimination order was fixed")
         self._lu = lu
-        self._a = a.tocsr()
+        self._a = a
 
     def solve(self, b):
         return self._solve(b)
@@ -251,6 +267,44 @@ class SaddleFactor:
         return x
 
 
+def _trailing_root(a, last):
+    """(factor, order, root): one symmetric factor of the SPD csr a whose
+    order eliminates the dofs `last` last, and the root C of the Schur
+    complement S = C C^T of a on `last`.
+
+    The other dofs keep their places in the minimum degree order of all
+    of a (_mmd_order) and `last` follows in its given order; order is
+    that elimination order (new -> old).  For the pinned edge system at
+    square n = 64 this gave 2.28M entries in L and U, against 2.40M for
+    the minimum degree order of the other dofs' own block.  The
+    factorization P a P^T = L D L^T in that order (CholeskyFactor with
+    its inertia check) holds S in its trailing block, and root is the
+    sparse lower triangular C = L22 D22^{1/2}.  A failed inertia check
+    names the block, interior or Schur complement, that is not positive
+    definite.  Reading the pivots makes the factor keep CSC copies of L
+    and U, so a caller that needs only C drops the factor at once.
+    """
+    interior = np.ones(a.shape[0], dtype=bool)
+    interior[last] = False
+    idx_i = np.flatnonzero(interior)
+    try:
+        order = last
+        if idx_i.size:
+            full = _mmd_order(a)
+            order = np.concatenate([full[interior[full]], last])
+        factor = CholeskyFactor(a[order][:, order].tocsc(), _fixed_order=True)
+    except NotPositiveDefiniteError as exc:
+        if idx_i.size:
+            try:  # name the block that failed
+                CholeskyFactor(a[idx_i][:, idx_i])
+            except NotPositiveDefiniteError as inner:
+                raise NotPositiveDefiniteError(f"interior block of a: {inner}") from inner
+        raise NotPositiveDefiniteError(f"Schur complement of a is not SPD: {exc}") from exc
+    m = len(last)
+    root = factor._lu.L[-m:, -m:] @ sp.diags(np.sqrt(factor._lu.U.diagonal()[-m:]))
+    return factor, order, root
+
+
 @dataclass(frozen=True)
 class EigenResult:
     """The smallest finite eigenpairs of a symmetric pencil.
@@ -278,19 +332,16 @@ def general_sym_eig(a, b, k=None):
     the finite lambda.  A b that spans every dof leaves no interior, and
     S is a itself.
 
-    S is never formed column by column.  The interior dofs take the
-    minimum degree order of the interior block a_ii (_mmd_order), the
-    support dofs come last, and one symmetric factorization
-    P a P^T = L D L^T in that fixed order (CholeskyFactor with its
-    inertia check) holds S = C C^T in its trailing block,
-    C = L22 D22^{1/2}.  Two triangular solves with C turn the pencil into
-    a standard dense eigh of size |support|.  Only the k selected
-    eigenvectors y of it are taken back to all dofs, by one solve of the
-    whole factor with C y on the support: its back substitution gives
-    w = C^{-T} y there and -a_ii^{-1} a_ib w on the interior.  One
-    refinement step follows, and each solve keeps its residual check.
-    A failed inertia check names the block, interior or Schur
-    complement, that is not positive definite.
+    S is never formed column by column: one symmetric factorization of
+    a with the support dofs last holds S = C C^T in its trailing block
+    (_trailing_root, which also checks the inertia and names the block,
+    interior or Schur complement, that is not positive definite).  Two
+    triangular solves with C turn the pencil into a standard dense eigh
+    of size |support|.  Only the k selected eigenvectors y of it are
+    taken back to all dofs, by one solve of the whole factor with C y on
+    the support: its back substitution gives w = C^{-T} y there and
+    -a_ii^{-1} a_ib w on the interior.  One refinement step follows, and
+    each solve keeps its residual check.
 
     Each returned value is the Rayleigh quotient of its returned,
     b-normalized vector, summed free of cancellation by
@@ -309,27 +360,9 @@ def general_sym_eig(a, b, k=None):
         raise LinearAlgebraError("b is zero: the pencil has no finite eigenvalues")
 
     a_sp = sp.csr_matrix(a, dtype=float)
-    interior = np.ones(n, dtype=bool)
-    interior[support] = False
-    idx_i = np.flatnonzero(interior)
-    a_ii = a_sp[idx_i][:, idx_i]
-    try:
-        order = support
-        if idx_i.size:
-            order = np.concatenate([idx_i[_mmd_order(a_ii)], support])
-        factor = CholeskyFactor(a_sp[order][:, order], _fixed_order=True)
-    except NotPositiveDefiniteError as exc:
-        if idx_i.size:
-            try:  # name the block that failed
-                CholeskyFactor(a_ii)
-            except NotPositiveDefiniteError as inner:
-                raise NotPositiveDefiniteError(f"interior block of a: {inner}") from inner
-        raise NotPositiveDefiniteError(f"Schur complement of a is not SPD: {exc}") from exc
+    factor, order, root = _trailing_root(a_sp, support)
     m = support.size
-    l22 = factor._lu.L[-m:, -m:]
-    root_d = np.sqrt(factor._lu.U.diagonal()[-m:])
-    c = l22.toarray(order="F")
-    c *= root_d
+    c = root.toarray(order="F")
     # b_bb w = mu C C^T w becomes reduced y = mu y with y = C^T w.  The
     # triangular solves overwrite their right-hand side and eigh its
     # input (reading one triangle), and c goes before eigh allocates y,
@@ -350,7 +383,7 @@ def general_sym_eig(a, b, k=None):
         raise LinearAlgebraError(f"requested {k} eigenpairs, pencil has {n_finite} finite ones")
     # the largest mu are the smallest lambda = 1/mu
     rhs = np.zeros((n, k))
-    rhs[-m:] = l22 @ (root_d[:, None] * y[:, ::-1][:, :k])
+    rhs[-m:] = root @ y[:, ::-1][:, :k]
     x_p = factor.solve(rhs)
     x_p += factor.solve(rhs - factor._a @ x_p)
     vectors = np.empty((n, k), order="F")

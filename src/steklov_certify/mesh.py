@@ -79,7 +79,7 @@ def _frozen_indices(a, name):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangulation with an oriented boundary loop, checked when it is made.
 
@@ -88,7 +88,9 @@ class Mesh:
     triangle, positive orientation, conforming edge incidence (interior
     edges in exactly two triangles and run once each way, boundary edges
     in exactly one, each listed once and counterclockwise in its
-    triangle), and a single counterclockwise boundary loop.
+    triangle), and a single counterclockwise boundary loop.  A mesh is
+    equal only to itself and hashes by identity: the generated == would
+    compare arrays, whose elementwise result has no single truth value.
 
     Attributes
     ----------

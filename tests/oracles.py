@@ -257,7 +257,8 @@ def kkt_flux(system, g, y):
 def kkt_constant(system, basis=None):
     """Projection error constant through the KKT system: the s-column
     solve, the error quadratic form, and its top eigenvalue against the
-    trace Gram matrix by explicit Cholesky reduction."""
+    trace Gram matrix by explicit Cholesky reduction.  Returns the
+    constant and the (s, s) form, every column of it solved."""
     y_all = np.linalg.solve(
         (system.stiffness + system.mass).toarray(), system.boundary_coupling.toarray()
     )
@@ -275,4 +276,4 @@ def kkt_constant(system, basis=None):
     l = np.linalg.cholesky(system.boundary_mass.toarray())
     reduced = np.linalg.solve(l, np.linalg.solve(l, quad).T)
     top = np.linalg.eigvalsh(0.5 * (reduced + reduced.T)).max()
-    return float(np.sqrt(max(top, 0.0)))
+    return float(np.sqrt(max(top, 0.0))), quad

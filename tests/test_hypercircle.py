@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from steklov_certify import hypercircle
+from steklov_certify import hypercircle, linalg
 from steklov_certify.assembly import (
     assemble_system,
     p1_gradients,
@@ -167,7 +167,7 @@ def test_constant_invariant_under_interior_basis_change(system_square2, rng):
     p_int = sysm.dofs.dim_rt_interior
     t = rng.standard_normal((p_int, p_int))
     t += p_int * np.eye(p_int)
-    value = kkt_constant(sysm, basis=t)
+    value, _ = kkt_constant(sysm, basis=t)
     expected = EquilibrationSolver(sysm).constant().value
     assert value == pytest.approx(expected, rel=1e-9)
 
@@ -180,7 +180,77 @@ def test_constant_invariant_under_interior_basis_change(system_square2, rng):
 def test_constant_matches_kkt_route(gen, n):
     system = assemble_system(gen(n))
     value = EquilibrationSolver(system).constant().value
-    assert value == pytest.approx(kkt_constant(system), rel=1e-10)
+    assert value == pytest.approx(kkt_constant(system)[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("gen,n", [(uniform_square_mesh, 8), (uniform_lshape_mesh, 4)])
+def test_split_form_matches_the_solved_kkt_form(gen, n):
+    """The form assembled from s/2 solved columns and the boundary Schur
+    block equals the KKT oracle's form, all s columns of it solved, and
+    the boundary coupling that splits the trace space has rank s/2."""
+    system = assemble_system(gen(n))
+    s = system.dofs.dim_trace
+    assert np.linalg.matrix_rank(system.boundary_coupling.toarray()) == s // 2
+    quad = EquilibrationSolver(system).constant().quad_form
+    _, oracle = kkt_constant(system)
+    assert np.abs(quad - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_constant_solves_half_the_trace_columns(system_square4):
+    """The edge factor solves s/2 trace columns plus one cross-check
+    block of _BLOCK; the parent route solved all s."""
+    solver = EquilibrationSolver(system_square4)
+    widths = []
+    solve = solver._edges._solve
+
+    def counting(b):
+        widths.append(b.shape[1])
+        return solve(b)
+
+    solver._edges._solve = counting
+    solver.constant()
+    s = system_square4.dofs.dim_trace
+    assert s // 2 > hypercircle._BLOCK
+    assert sum(widths) == s // 2 + hypercircle._BLOCK
+
+
+def test_perturbed_schur_root_fails_the_cross_check(monkeypatch):
+    """A Schur root off by one part in a million changes only the
+    unsolved block of the form; the cross-check block of solved columns
+    catches it."""
+    solver = EquilibrationSolver(assemble_system(uniform_square_mesh(8)))
+    monkeypatch.setattr(solver, "_boundary_root", solver._boundary_root * (1.0 + 1e-6))
+    with pytest.raises(LinearAlgebraError, match="kappa cross-check: .* of column"):
+        solver.constant()
+
+
+def test_kept_edge_factor_reads_no_pivots(monkeypatch):
+    """The throwaway boundary-last factor reads its pivots and proves the
+    pinned edge system positive definite; the kept edge factor must not
+    read L or U, which makes scipy cache CSC copies of both."""
+    made = []
+    splu = linalg.spla.splu
+
+    class Spy:
+        def __init__(self, lu):
+            self._lu, self.read = lu, []
+
+        def __getattr__(self, name):
+            if name in ("L", "U"):
+                self.read.append(name)
+            return getattr(self._lu, name)
+
+    def spying(*args, **kwargs):
+        made.append(Spy(splu(*args, **kwargs)))
+        return made[-1]
+
+    monkeypatch.setattr(linalg.spla, "splu", spying)
+    solver = EquilibrationSolver(assemble_system(uniform_square_mesh(4)))
+    assert solver._edges._lu is made[-1]
+    assert made[-1].read == []
+    assert "U" in made[-2].read
+    solver.constant()
+    assert made[-1].read == []
 
 
 @pytest.mark.parametrize("gen,n", [(uniform_square_mesh, 8), (uniform_lshape_mesh, 4)])

@@ -276,6 +276,20 @@ def test_eig_rejects_a_reordered_factor(monkeypatch):
     assert len(spies) == 1
 
 
+def test_spd_factor_still_rejects_a_swapped_row(system_square4, monkeypatch):
+    """_spd=True trusts an inertia checked by another factor and reads no
+    pivots, but a factor that swapped a row is still refused."""
+
+    class Swapped(_SuperLUSpy):
+        perm_r = property(lambda spy: spy._lu.perm_r[::-1])
+
+    a = system_square4.stiffness + system_square4.mass
+    CholeskyFactor(a, _spd=True)
+    _spy_on_superlu(monkeypatch, Swapped)
+    with pytest.raises(NotPositiveDefiniteError, match="a row was swapped"):
+        CholeskyFactor(a, _spd=True)
+
+
 def test_eigenpair_check_rejects_a_corrupted_pair(monkeypatch):
     """A reduced eigenvector mixed with its neighbour passes every solve
     check, and the per-pair residual check rejects it."""
