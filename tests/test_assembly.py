@@ -20,7 +20,7 @@ from steklov_certify.assembly import (
     project_boundary,
     rt_values_at_quadrature,
 )
-from steklov_certify.mesh import Mesh, uniform_lshape_mesh, uniform_square_mesh
+from steklov_certify.mesh import Mesh, MeshError, uniform_lshape_mesh, uniform_square_mesh
 
 from oracles import (
     boundary_distance_to_field,
@@ -270,6 +270,19 @@ def test_dof_map_invariants(gen, n):
     assert np.array_equal(np.sort(claimed), np.arange(len(claimed)))
     # Euler check for a simply connected planar triangulation
     assert len(dofs.edges) == (3 * mesh.num_triangles + mesh.num_boundary_edges) // 2
+
+
+@pytest.mark.parametrize("edge", [(0, 8), (1, 0)])
+def test_bad_boundary_edge_is_a_mesh_error(edge):
+    """A boundary edge that is no edge of the mesh, or one run against
+    its triangle, fails with MeshError when the mesh is built, so
+    build_dof_maps and assemble_system never meet it as a KeyError or a
+    silently wrong trace space."""
+    mesh = uniform_square_mesh(2)
+    edges = mesh.boundary_edges.copy()
+    edges[0] = edge
+    with pytest.raises(MeshError, match="boundary edge 0"):
+        Mesh(mesh.vertices, mesh.triangles, edges)
 
 
 def test_boundary_edge_dofs_in_loop_order():

@@ -21,6 +21,7 @@ from steklov_certify.bounds import (
 )
 from steklov_certify.mesh import (
     Mesh,
+    MeshError,
     boundary_local_edges,
     element_geometry,
     uniform_lshape_mesh,
@@ -191,6 +192,18 @@ def test_constants_equal_the_element_loop(mesh):
     assert trace_constant_bound(mesh) == trace
     assert trace_constant_simplified(mesh) == simple
     assert cr_error_constant(mesh, 0.37)[0] == full
+
+
+@pytest.mark.parametrize("edge", [(0, 8), (1, 0)])
+def test_boundary_element_edges_rejects_bad_boundary_edge(edge):
+    """A dangling or reversed boundary edge fails with MeshError when the
+    mesh is built, so the trace and CR constants never pick a wrong
+    boundary element for it."""
+    mesh = uniform_square_mesh(2)
+    edges = mesh.boundary_edges.copy()
+    edges[0] = edge
+    with pytest.raises(MeshError, match="boundary edge 0"):
+        Mesh(mesh.vertices, mesh.triangles, edges)
 
 
 # --- combination and the lower-bound map -------------------------------------

@@ -448,6 +448,18 @@ def test_boundary_local_edges_finds_each_edge_in_its_triangle():
         assert np.array_equal(owner[rows, (local + 1) % 3], mesh.boundary_edges[:, 1])
 
 
+@pytest.mark.parametrize("edge", [(0, 8), (1, 0)])
+def test_boundary_local_edges_rejects_foreign_and_reversed_edges(edge):
+    """(0, 8) is no edge of the square n = 2 mesh; (1, 0) is its first
+    boundary edge run clockwise.  Both fail when the mesh is built, so
+    boundary_local_edges never looks either up."""
+    mesh = uniform_square_mesh(2)
+    edges = mesh.boundary_edges.copy()
+    edges[0] = edge
+    with pytest.raises(MeshError, match="boundary edge 0"):
+        Mesh(mesh.vertices, mesh.triangles, edges)
+
+
 def _put(a, index, value):
     a = a.copy()
     a[index] = value
@@ -475,11 +487,7 @@ def _doubled_far_triangle():
 
 
 # defects of square n = 2 (v, t, e: its vertices, triangles and boundary
-# edges) and the start of the message the Mesh constructor gives each.
-# The dangling (0, 8) and the reversed (1, 0) boundary edge fail when the
-# mesh is built, so no consumer sees them: not assembly (a KeyError or a
-# wrong trace space), not the element constants of bounds, and not
-# boundary_local_edges
+# edges) and the start of the message the Mesh constructor gives each
 _DEFECTS = {
     "wrong width": (
         lambda v, t, e: (v, np.column_stack([t, t[:, :1]]), e), "triangles must be an (nt, 3) array"),
