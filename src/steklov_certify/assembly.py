@@ -18,13 +18,18 @@ a signed permutation of the trace-space slots.
 All assembled integrands are polynomials of degree at most four; the
 six-point triangle rule below is exact for them.  Element matrices are
 symmetrized before scattering, so assembled matrices are exactly
-symmetric.  Everything here is pure: meshes and systems can be shared
-across threads.
+symmetric.  Pointwise evaluation of flux fields and P1 gradients is a
+sparse matrix-vector product with maps that a system builds on first
+use and caches; a certified table never evaluates a flux, so never
+builds them.  Everything here is pure, and the cache is a pure function
+of the system: meshes and systems can be shared across threads.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -336,6 +341,21 @@ def assemble_rt1(mesh, dofs):
     return rt_mass, div_coupling, elements
 
 
+class _Evaluation(NamedTuple):
+    values: sp.csr_matrix
+    divergence: sp.csr_matrix
+    gradients: sp.csr_matrix
+    areas: np.ndarray
+
+
+def _rows(blocks, cols, width):
+    """csr matrix, int32 indices, with one row per vector blocks[..., :]
+    and its entries in columns cols (broadcast, distinct within a row)."""
+    indptr = np.arange(0, blocks.size + 1, blocks.shape[-1], dtype=np.int32)
+    indices = np.broadcast_to(cols, blocks.shape).astype(np.int32).ravel()
+    return sp.csr_matrix((blocks.ravel(), indices, indptr), shape=(len(indptr) - 1, width))
+
+
 def assemble_broken(mesh):
     """Broken P1 mass, coupling with the conforming space, and moments."""
     nt = mesh.num_triangles
@@ -386,6 +406,25 @@ class AssembledSystem:
         """L2 boundary norm of a trace-space function."""
         g = np.asarray(g)
         return float(np.sqrt(max(g @ (self.boundary_mass @ g), 0.0)))
+
+    @functools.cached_property
+    def _evaluation(self):
+        """Pointwise evaluation as csr maps of the coefficients, built on
+        first use: the values of a flux at the triangle-rule points
+        (nt*q*2, p), its divergence at the triangle vertices (3 nt, p)
+        and the gradient of a P1 function per triangle (2 nt, n); and the
+        triangle areas."""
+        mesh, el, p = self.mesh, self.rt_elements, self.rt_mass.shape[0]
+        xi = _local_vertices(mesh, el.centroids, el.scales)
+        values = np.swapaxes(_monomial_values(TRIANGLE_RULE[0] @ xi), 2, 3) @ el.coeffs[:, None]
+        divergence = _monomial_divergences(xi, el.scales[:, None]) @ el.coeffs
+        gradients = np.swapaxes(p1_gradients(mesh), 1, 2)
+        return _Evaluation(
+            values=_rows(values, el.gdofs[:, None, None], p),
+            divergence=_rows(divergence, el.gdofs[:, None], p),
+            gradients=_rows(gradients, mesh.triangles[:, None], mesh.num_vertices),
+            areas=mesh.triangle_areas(),
+        )
 
 
 def assemble_system(mesh):
@@ -469,26 +508,28 @@ def project_boundary(mesh, data):
     return BoundaryField(g)
 
 
-def _local_coefficients(system, x):
-    """Monomial coefficients of a flux field on every element, (nt, 8)."""
-    el = system.rt_elements
-    return (el.coeffs @ np.asarray(x)[el.gdofs][:, :, None])[:, :, 0]
+def _check_length(values, length, what, error=ValueError):
+    """values as a float vector; error unless it has length entries."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (length,):
+        raise error(f"{what} has shape {values.shape}, expected length {length}")
+    return values
 
 
 def rt_values_at_quadrature(system, x):
-    """Flux field values at the triangle-rule points, (nt, q, 2)."""
-    bary, _ = TRIANGLE_RULE
-    el = system.rt_elements
-    pts = bary @ _local_vertices(system.mesh, el.centroids, el.scales)
-    return np.einsum("tqmd,tm->tqd", _monomial_values(pts), _local_coefficients(system, x))
+    """Flux field values at the triangle-rule points, (nt, q, 2).
+
+    Raises ValueError unless x has one entry per Raviart-Thomas dof.
+    """
+    values = system._evaluation.values @ _check_length(x, system.rt_mass.shape[0], "flux")
+    return values.reshape(system.mesh.num_triangles, -1, 2)
 
 
 def rt_divergence_vertex_values(system, x):
     """div of a flux field at each triangle's vertices, (nt, 3).
 
     The divergence is linear per element, so vertex values determine it.
+    Raises ValueError unless x has one entry per Raviart-Thomas dof.
     """
-    el = system.rt_elements
-    xi = _local_vertices(system.mesh, el.centroids, el.scales)
-    div = _monomial_divergences(xi, el.scales[:, None])
-    return np.einsum("tim,tm->ti", div, _local_coefficients(system, x))
+    divergence = system._evaluation.divergence @ _check_length(x, system.rt_mass.shape[0], "flux")
+    return divergence.reshape(-1, 3)

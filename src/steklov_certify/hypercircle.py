@@ -49,6 +49,7 @@ directions and one cross-check block of the others.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -61,9 +62,8 @@ from .assembly import (
     AssembledSystem,
     BoundaryField,
     TRIANGLE_RULE,
-    _P1_MASS_BLOCK,
+    _check_length,
     coefficients_of,
-    p1_gradients,
     rt_divergence_vertex_values,
     rt_values_at_quadrature,
     scatter_csr,
@@ -100,7 +100,11 @@ _WORKERS = min(
 
 
 class IncompatibleDataError(ValueError):
-    """Boundary data and Neumann solution do not belong together."""
+    """Boundary data, Neumann solution and flux do not belong together,
+    or one of them does not fit the system."""
+
+
+_checked = functools.partial(_check_length, error=IncompatibleDataError)
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,6 @@ class EquilibrationSolver:
         self._flux_of_load = inv[:, :8, 8:].copy()
         del local, inv, edge_block
         self._edge_dof = edge_dof
-        self._dof_count = np.bincount(el.gdofs.ravel(), minlength=dofs.dim_rt_interior + s)
 
         # outward normal traces of the boundary edges: the trace map's
         # sign is that of the global normal against the outward one, and
@@ -218,13 +221,7 @@ class EquilibrationSolver:
         self._area = float(system.broken_moments.sum())
 
     def _trace_data(self, data):
-        g = coefficients_of(data)
-        s = self.system.dofs.dim_trace
-        if g.shape != (s,):
-            raise IncompatibleDataError(
-                f"boundary data has shape {g.shape}, expected length {s} (the trace dofs)"
-            )
-        return g
+        return _checked(coefficients_of(data), self.system.dofs.dim_trace, "boundary data")
 
     def _multipliers(self, loads, traces, solve):
         """Broken multipliers lam (3 nt, k) and edge multipliers mu
@@ -249,6 +246,25 @@ class EquilibrationSolver:
         lam = self._lam_of_load @ loads - self._load_to_edge.T @ mu
         return lam, mu
 
+    @functools.cached_property
+    def _flux_maps(self):
+        """Flux dofs as linear maps of the edge multipliers and of the
+        element loads, each dof the mean of its elements' values.  Built
+        on the first solve_flux: constant() needs none of it."""
+        gdofs = self.system.rt_elements.gdofs
+        count = np.bincount(gdofs.ravel(), minlength=self.system.rt_mass.shape[0])
+        n_edge, n_load = self._load_to_edge.shape
+
+        def averaged(stack, cols, width):
+            rows = np.broadcast_to(gdofs[:, :, None], stack.shape)
+            cols = np.broadcast_to(cols, stack.shape)
+            return scatter_csr(rows, cols, stack / count[rows], (count.size, width))
+
+        return (
+            averaged(self._flux_of_edge, self._edge_dof[:, None, :], n_edge),
+            averaged(self._flux_of_load, np.arange(n_load).reshape(-1, 1, 3), n_load),
+        )
+
     def solve_neumann(self, data):
         """Conforming solution for trace-space boundary data."""
         g = self._trace_data(data)
@@ -264,11 +280,7 @@ class EquilibrationSolver:
         """
         sysm = self.system
         g = self._trace_data(data)
-        y = np.asarray(neumann.coefficients, dtype=float)
-        if y.shape != (sysm.dofs.dim_p1,):
-            raise IncompatibleDataError(
-                f"Neumann solution has shape {y.shape}, expected length {sysm.dofs.dim_p1}"
-            )
+        y = _checked(neumann.coefficients, sysm.dofs.dim_p1, "Neumann solution")
         volume = float(np.sum(sysm.mass @ y))
         surface = sysm.boundary_integral(g)
         scale = max(abs(volume), abs(surface), 1.0)
@@ -281,14 +293,8 @@ class EquilibrationSolver:
         lam, mu = self._multipliers(
             loads[:, None], self._trace_to_edge @ g[:, None], self._edges.solve
         )
-        flux = (
-            self._flux_of_edge @ mu[self._edge_dof]
-            + self._flux_of_load @ loads.reshape(-1, 3, 1)
-        )
-        # interior edge dofs: the mean of the two elements' equal values
-        x = np.bincount(
-            sysm.rt_elements.gdofs.ravel(), flux.ravel(), minlength=self._dof_count.size
-        ) / self._dof_count
+        of_edge, of_load = self._flux_maps
+        x = of_edge @ mu[:, 0] + of_load @ loads
         x[sysm.dofs.dim_rt_interior :] = sysm.trace_map @ g
         lam = lam[:, 0]
         lam -= (sysm.broken_moments @ lam) / self._area
@@ -299,11 +305,13 @@ class EquilibrationSolver:
 
         Always computed from the assembled closed form; with
         check_routes the value is recomputed by direct elementwise
-        quadrature and the two must agree to relative 1e-9.
+        quadrature and the two must agree to relative 1e-9.  Raises
+        IncompatibleDataError when a coefficient vector has the wrong
+        length.
         """
         sysm = self.system
-        y = neumann.coefficients
-        x = flux.coefficients
+        y = _checked(neumann.coefficients, sysm.dofs.dim_p1, "Neumann solution")
+        x = _checked(flux.coefficients, sysm.rt_mass.shape[0], "flux")
         g = sysm.trace_map.T @ x[sysm.dofs.dim_rt_interior :]
         volume_integral = float(np.sum(sysm.mass @ y))
         closed = (
@@ -425,25 +433,27 @@ class EquilibrationSolver:
         return ProjectionConstant(value, BoundaryField(vectors[:, -1]), quad)
 
     def divergence_gap(self, neumann, flux):
-        """Broken L2 norm of div p - u (zero up to roundoff by design)."""
+        """Broken L2 norm of div p - u (zero up to roundoff by design).
+
+        Raises IncompatibleDataError when a coefficient vector has the
+        wrong length.
+        """
         sysm = self.system
-        diff = rt_divergence_vertex_values(sysm, flux.coefficients) - neumann.coefficients[
-            sysm.mesh.triangles
-        ]
-        areas = sysm.mesh.triangle_areas()
-        per_element = np.einsum(
-            "ti,ij,tj->t", diff, _P1_MASS_BLOCK, diff
-        ) * areas
-        return float(np.sqrt(max(per_element.sum(), 0.0)))
+        x = _checked(flux.coefficients, sysm.rt_mass.shape[0], "flux")
+        y = _checked(neumann.coefficients, sysm.dofs.dim_p1, "Neumann solution")
+        diff = (rt_divergence_vertex_values(sysm, x) - y[sysm.mesh.triangles]).ravel()
+        return float(np.sqrt(max(diff @ (sysm.broken_mass @ diff), 0.0)))
 
 
 def _direct_error_squared(system, y, x):
-    """Quadrature route for |grad u - p|^2 (degree-4 integrand, exact rule)."""
+    """Quadrature route for |grad u - p|^2 (degree-4 integrand, exact rule)
+    through the system's cached evaluation operators."""
     _, wq = TRIANGLE_RULE
-    grads = p1_gradients(system.mesh)
-    grad_u = np.einsum("tid,ti->td", grads, y[system.mesh.triangles])
-    pvals = rt_values_at_quadrature(system, x)
-    diff = pvals - grad_u[:, None, :]
-    sq = np.einsum("tqd,tqd->tq", diff, diff)
-    return float((system.mesh.triangle_areas() * (sq @ wq)).sum())
+    evaluation = system._evaluation
+    nt = system.mesh.num_triangles
+    # one row per triangle, (point, component) pairs along it: numpy
+    # broadcasts over a length-2 last axis several times slower
+    grad_u = np.tile((evaluation.gradients @ y).reshape(nt, 2), len(wq))
+    diff = rt_values_at_quadrature(system, x).reshape(nt, -1) - grad_u
+    return float(evaluation.areas @ ((diff * diff) @ np.repeat(wq, 2)))
 

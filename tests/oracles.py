@@ -2,10 +2,12 @@
 
 Everything here is written from first principles and avoids the package's
 assembly and solver code paths, so agreement between the two sides is
-evidence of correctness rather than a tautology.  The one exception is
-the flux oracle at the end: it takes the assembled matrices and solves
-the unhybridized KKT system with a pivoted sparse LU, a route the
-package's hybridized EquilibrationSolver does not share.
+evidence of correctness rather than a tautology.  Two exceptions are at
+the end.  The flux oracle takes the assembled matrices and solves the
+unhybridized KKT system with a pivoted sparse LU, a route the package's
+hybridized EquilibrationSolver does not share.  The flux evaluation
+oracle takes the element basis (RTElements) and contracts it element by
+element, where the package applies cached sparse evaluation maps.
 """
 
 import math
@@ -277,3 +279,77 @@ def kkt_constant(system, basis=None):
     reduced = np.linalg.solve(l, np.linalg.solve(l, quad).T)
     top = np.linalg.eigvalsh(0.5 * (reduced + reduced.T)).max()
     return float(np.sqrt(max(top, 0.0))), quad
+
+
+# --- per-element evaluation of a Raviart-Thomas field -------------------
+# RTElements: on element t the basis is psi_j = sum_m coeffs[t, m, j] m_m
+# with the eight monomial fields m_m of xi = (x - centroid[t]) / scale[t].
+
+
+def _local_points(system, bary):
+    """Points of barycentric coordinates bary (q, 3) in every element's
+    local frame, as two (nt, q) arrays xi and eta."""
+    el = system.rt_elements
+    corners = system.mesh.vertices[system.mesh.triangles]
+    pts = np.einsum("qi,tid->tqd", bary, corners) - el.centroids[:, None]
+    pts /= el.scales[:, None, None]
+    return pts[..., 0], pts[..., 1]
+
+
+def _monomial_coefficients(system, x):
+    """Monomial coefficients of a flux field on every element, (nt, 8)."""
+    el = system.rt_elements
+    return np.einsum("tmj,tj->tm", el.coeffs, np.asarray(x)[el.gdofs])
+
+
+def rt_values_per_element(system, x, bary):
+    """Flux field values at barycentric points bary (q, 3), (nt, q, 2)."""
+    xi, eta = _local_points(system, bary)
+    zero, one = np.zeros_like(xi), np.ones_like(xi)
+    fields = [
+        (one, zero),
+        (xi, zero),
+        (eta, zero),
+        (zero, one),
+        (zero, xi),
+        (zero, eta),
+        (xi * xi, xi * eta),
+        (xi * eta, eta * eta),
+    ]
+    mono = np.stack([np.stack(f, axis=-1) for f in fields], axis=2)  # (nt, q, 8, 2)
+    return np.einsum("tqmd,tm->tqd", mono, _monomial_coefficients(system, x))
+
+
+def rt_divergence_per_element(system, x):
+    """div of a flux field at each triangle's vertices, (nt, 3): the
+    monomial divergences are (0, 1, 0, 0, 0, 1, 3 xi, 3 eta) / scale."""
+    xi, eta = _local_points(system, np.eye(3))
+    zero, one = np.zeros_like(xi), np.ones_like(xi)
+    div = np.stack([zero, one, zero, zero, zero, one, 3 * xi, 3 * eta], axis=-1)
+    div /= system.rt_elements.scales[:, None, None]
+    return np.einsum("tim,tm->ti", div, _monomial_coefficients(system, x))
+
+
+def _triangle_areas(mesh):
+    p = mesh.vertices[mesh.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def divergence_gap_per_element(system, y, x):
+    """Broken L2 norm of div p - u for P1 vertex values y, with the P1
+    element mass matrix area/12 * (ones + identity)."""
+    diff = rt_divergence_per_element(system, x) - np.asarray(y)[system.mesh.triangles]
+    block = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    return math.sqrt(np.einsum("ti,ij,tj->t", diff, block, diff) @ _triangle_areas(system.mesh))
+
+
+def error_squared_per_element(system, y, x):
+    """|grad u - p|^2 for P1 vertex values y and a flux x, by the
+    seven-point degree-5 rule (the integrand has degree 4)."""
+    bary, w = GAUSS7
+    mesh = system.mesh
+    y = np.asarray(y)
+    grad_u = np.array([y[tri] @ hat_gradients(mesh.vertices[tri]) for tri in mesh.triangles])
+    diff = rt_values_per_element(system, x, bary) - grad_u[:, None, :]
+    return float(_triangle_areas(mesh) @ (np.einsum("tqd,tqd->tq", diff, diff) @ w))
