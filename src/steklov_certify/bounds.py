@@ -94,18 +94,18 @@ def trace_constant_simplified(mesh):
 
 def certification_constant(trace_const, proj_const):
     """Combine the trace and projection constants into the bound constant."""
-    if trace_const < 0.0 or proj_const < 0.0:
-        raise ValueError("constants must be nonnegative")
+    if not (0.0 <= trace_const < np.inf and 0.0 <= proj_const < np.inf):
+        raise ValueError("constants must be nonnegative and finite")
     return float(np.hypot(trace_const, proj_const))
 
 
 def certified_lower_bound(value, constant):
     """lam / (1 + C**2 lam): a guaranteed lower bound for the exact
     eigenvalue below the discrete eigenvalue lam with bound constant C."""
-    if value <= 0.0:
-        raise ValueError(f"discrete eigenvalue must be positive, got {value}")
-    if constant < 0.0:
-        raise ValueError(f"bound constant must be nonnegative, got {constant}")
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"discrete eigenvalue must be positive and finite, got {value}")
+    if not 0.0 <= constant < np.inf:
+        raise ValueError(f"bound constant must be nonnegative and finite, got {constant}")
     return float(value / (1.0 + constant * constant * value))
 
 
@@ -115,8 +115,8 @@ def cr_error_constant(mesh, first_cr_eigenvalue):
     Needs the smallest CR eigenvalue of the same mesh; both returned
     values are valid bound constants for the CR lower bound map.
     """
-    if first_cr_eigenvalue <= 0.0:
-        raise ValueError("first CR eigenvalue must be positive")
+    if not 0.0 < first_cr_eigenvalue < np.inf:
+        raise ValueError("first CR eigenvalue must be positive and finite")
     areas, h_max, lengths = _boundary_elements(mesh)
     boundary_part = (h_max / np.sqrt(2.0 * areas / lengths)).max(initial=0.0)
     h = mesh.h
@@ -146,8 +146,8 @@ def load_references(path):
             floats = [float(v) for v in values] if isinstance(values, list) else None
         except (TypeError, ValueError, OverflowError):
             floats = None
-        if floats is None or not np.all(np.isfinite(floats)):
-            raise ValueError(f'{path}: entry {key!r} needs a list of finite numbers as "values"')
+        if not floats or not np.all(np.isfinite(floats)):
+            raise ValueError(f'{path}: entry {key!r} needs a nonempty finite list as "values"')
         table[key] = floats
     return table
 

@@ -16,9 +16,9 @@ Three subcommands:
 
 Reports are deterministic: the same inputs produce byte-identical CSV or
 JSON.  Reference eigenvalues for the error columns ship with the package
-and can be replaced with --refs FILE, which must have an entry for the
-run's domain, or dropped with --no-refs.  Exit codes: 0 success, 2 usage
-error, 1 computation or I/O failure.
+and can be replaced with --refs FILE, which must have a nonempty entry
+for the run's domain, or dropped with --no-refs, which excludes --refs.
+Exit codes: 0 success, 2 usage error, 1 computation or I/O failure.
 """
 
 from __future__ import annotations
@@ -286,6 +286,8 @@ def _resolve_mesh(args):
 def _report(args, domain, meshes):
     """Certify each (mesh, n) of meshes in turn, then render the rows
     grouped by method to --out or stdout."""
+    if args.refs and args.no_refs:
+        raise UsageError("--no-refs excludes --refs")
     k = _positive("--k", args.k)
     if args.no_refs:
         references = None

@@ -26,14 +26,14 @@ field, and edge multipliers mu, one per RT edge dof, enforce normal
 continuity on interior edges and the data p.n = f on the boundary.
 Each element's 8 flux dofs and 3 broken multipliers are eliminated with
 one batched inverse of the (11, 11) local saddle matrices, which leaves
-a symmetric positive semidefinite system for mu.  Its kernel is one
-constant lam with the matching mu.  The compatibility condition that
-belongs to it fixes c in closed form, c = (int u - int f) / |Omega|,
-since the interior flux dofs carry no net divergence and the broken
-moments sum to |Omega|.  One multiplier, on the interior edge nearest
-the vertex centroid, is pinned to zero, the remaining positive definite
-system is factored once, and the dropped equation is checked as the
-compatibility residual.
+a symmetric positive semidefinite system for mu and one sparse map from
+[mu; loads] to the flux.  The kernel is one constant lam with the
+matching mu.  The compatibility condition that belongs to it fixes c in
+closed form, c = (int u - int f) / |Omega|, since the interior flux dofs
+carry no net divergence and the broken moments sum to |Omega|.  One
+multiplier, on the interior edge nearest the vertex centroid, is pinned
+to zero in place (its row and column become the unit vector), the system
+is factored once, and the pinned equation is the compatibility check.
 
 The constant needs the error form on all s trace directions, but only
 s/2 of them reach the conforming problem: the boundary coupling has
@@ -174,50 +174,48 @@ class EquilibrationSolver:
         )
         # edge right-hand side per element load; its negated transpose
         # gives the broken multiplier per edge multiplier
-        self._load_to_edge = scatter_csr(
-            np.broadcast_to(edge_dof[:, :, None], (nt, 6, 3)),
-            np.broadcast_to(broken[:, None, :], (nt, 6, 3)),
-            sign[:, :, None] * inv[:, :6, 8:],
-            (n_edge, 3 * nt),
-        )
+        rows, cols = np.broadcast_arrays(edge_dof[:, :, None], broken[:, None, :])
+        load_block = sign[:, :, None] * inv[:, :6, 8:]
+        self._load_to_edge = scatter_csr(rows, cols, load_block, (n_edge, 3 * nt))
         self._lam_of_load = scatter_csr(
             np.repeat(broken, 3, axis=1), np.tile(broken, (1, 3)), inv[:, 8:, 8:], (3 * nt, 3 * nt)
         )
-        self._flux_of_edge = -inv[:, :8, :6] * sign[:, None, :]
-        # a copy, so that the (nt, 11, 11) stacks go before any edge factor
-        self._flux_of_load = inv[:, :8, 8:].copy()
-        del local, inv, edge_block
-        self._edge_dof = edge_dof
+        # each element's flux dofs from its entries of [mu; loads]; a copy,
+        # so that the (nt, 11, 11) stacks go before any edge factor
+        self._flux_stack = np.delete(inv[:, :8], [6, 7], axis=2)
+        self._flux_stack[:, :, :6] *= -sign[:, None, :]
+        self._flux_cols = np.concatenate([edge_dof, n_edge + broken], axis=1)
+        del local, inv, edge_block, load_block
 
         # outward normal traces of the boundary edges: the trace map's
         # sign is that of the global normal against the outward one, and
         # the multipliers act on outward traces, so the signs cancel
         boundary_dof = (2 * dofs.boundary_edge_index[:, None] + np.arange(2)).ravel()
-        trace = abs(system.trace_map).tocoo()
-        self._trace_to_edge = sp.csr_matrix(
-            (trace.data, (boundary_dof[trace.row], trace.col)), shape=(n_edge, s)
-        )
+        place = sp.csr_matrix((np.ones(s), (boundary_dof, np.arange(s))), shape=(n_edge, s))
+        self._trace_to_edge = place @ abs(system.trace_map)
 
         # the constant broken multiplier spans the kernel: pin one edge
-        # multiplier and keep its equation as a check.  The pin sits on
-        # the interior edge nearest the vertex centroid; a boundary pin
-        # left residuals near the solve tolerance (7e-11 at square n = 64,
-        # against 4e-14 here), growing fourfold per refinement
+        # multiplier in place, its row and column made the unit vector
+        # (the assembled system holds no other zero to drop), and
+        # keep its equation as a check.  The pin sits on the interior
+        # edge nearest the vertex centroid; a boundary pin left residuals
+        # near the solve tolerance (7e-11 at square n = 64, against 4e-14
+        # here), growing fourfold per refinement
         mids = mesh.vertices[dofs.edges].mean(axis=1)
         depth = np.linalg.norm(mids - mesh.vertices.mean(axis=0), axis=1)
-        self._pin = 2 * int(np.argmin(np.where(dofs.edge_is_boundary, np.inf, depth)))
-        self._free = np.delete(np.arange(n_edge), self._pin)
-        self._pin_row = schur[self._pin]
-        edges = schur[self._free][:, self._free]
-        del schur
+        pin = self._pin = 2 * int(np.argmin(np.where(dofs.edge_is_boundary, np.inf, depth)))
+        self._pin_row = schur[pin]
+        schur.data[schur.indices == pin] = 0.0
+        schur.data[schur.indptr[pin] : schur.indptr[pin + 1]] = 0.0
+        schur[pin, pin] = 1.0
+        schur.eliminate_zeros()
         # the root of the Schur complement of the pinned system on the
         # boundary dofs, in the row order of the trace map, from a
         # throwaway factor that orders them last (1.6 times the fill of
         # the minimum degree factor at square n = 64).  Its inertia proves
         # the matrix positive definite, so the kept factor reads no pivots
-        last = boundary_dof - (boundary_dof > self._pin)
-        self._boundary_root = _trailing_root(edges, last)[2].toarray(order="F")
-        self._edges = CholeskyFactor(edges, _spd=True)
+        self._boundary_root = _trailing_root(schur, boundary_dof)[2].toarray(order="F")
+        self._edges = CholeskyFactor(schur, _spd=True)
         self._area = float(system.broken_moments.sum())
 
     def _trace_data(self, data):
@@ -230,16 +228,17 @@ class EquilibrationSolver:
         outward normal traces (n_edge, k) on the boundary edges.
         solve is the edge factor's solve or, on a worker thread, _solve.
 
-        Raises LinearAlgebraError when the dropped equation of the
-        pinned multiplier is violated, i.e. when the mean shift inside
-        the loads does not make the data compatible.
+        Raises LinearAlgebraError when the pinned equation fails against
+        the saved rhs[pin], which the solve sees as zero, i.e. when the
+        mean shift inside the loads does not make the data compatible.
         """
         rhs = self._load_to_edge @ loads
         rhs -= traces
-        mu = np.zeros(rhs.shape)
-        mu[self._free] = solve(rhs[self._free])
-        dropped = np.abs(self._pin_row @ mu - rhs[self._pin]).ravel()
         scale = _column_norms(rhs)
+        pinned = rhs[self._pin].copy()
+        rhs[self._pin] = 0.0
+        mu = solve(rhs)
+        dropped = np.abs(self._pin_row @ mu - pinned).ravel()
         if not np.all(dropped <= _RESIDUAL_TOL * scale):
             worst = float(np.max(dropped / np.maximum(scale, np.finfo(float).tiny)))
             raise LinearAlgebraError(f"flux compatibility residual {worst:.3e}")
@@ -247,23 +246,15 @@ class EquilibrationSolver:
         return lam, mu
 
     @functools.cached_property
-    def _flux_maps(self):
-        """Flux dofs as linear maps of the edge multipliers and of the
-        element loads, each dof the mean of its elements' values.  Built
-        on the first solve_flux: constant() needs none of it."""
+    def _flux_map(self):
+        """Flux dofs as one linear map of [mu; loads], each dof the mean
+        of its elements' values.  Built on the first solve_flux:
+        constant() needs none of it."""
         gdofs = self.system.rt_elements.gdofs
         count = np.bincount(gdofs.ravel(), minlength=self.system.rt_mass.shape[0])
-        n_edge, n_load = self._load_to_edge.shape
-
-        def averaged(stack, cols, width):
-            rows = np.broadcast_to(gdofs[:, :, None], stack.shape)
-            cols = np.broadcast_to(cols, stack.shape)
-            return scatter_csr(rows, cols, stack / count[rows], (count.size, width))
-
-        return (
-            averaged(self._flux_of_edge, self._edge_dof[:, None, :], n_edge),
-            averaged(self._flux_of_load, np.arange(n_load).reshape(-1, 1, 3), n_load),
-        )
+        rows, cols = np.broadcast_arrays(gdofs[:, :, None], self._flux_cols[:, None, :])
+        width = sum(self._load_to_edge.shape)
+        return scatter_csr(rows, cols, self._flux_stack / count[rows], (count.size, width))
 
     def solve_neumann(self, data):
         """Conforming solution for trace-space boundary data."""
@@ -293,8 +284,7 @@ class EquilibrationSolver:
         lam, mu = self._multipliers(
             loads[:, None], self._trace_to_edge @ g[:, None], self._edges.solve
         )
-        of_edge, of_load = self._flux_maps
-        x = of_edge @ mu[:, 0] + of_load @ loads
+        x = self._flux_map @ np.concatenate([mu[:, 0], loads])
         x[sysm.dofs.dim_rt_interior :] = sysm.trace_map @ g
         lam = lam[:, 0]
         lam -= (sysm.broken_moments @ lam) / self._area

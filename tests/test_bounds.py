@@ -247,6 +247,50 @@ def test_certified_lower_bound_monotonicity():
     assert all(b < a for a, b in zip(lowers, lowers[1:]))
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: certified_lower_bound(np.nan, 0.3), "discrete eigenvalue"),
+        (lambda: certified_lower_bound(np.inf, 0.3), "discrete eigenvalue"),
+        (lambda: certified_lower_bound(1.0, np.nan), "bound constant"),
+        (lambda: certified_lower_bound(1.0, np.inf), "bound constant"),
+        (lambda: certification_constant(0.3, np.nan), "constants"),
+        (lambda: certification_constant(np.nan, 0.3), "constants"),
+        (lambda: certification_constant(np.inf, 0.3), "constants"),
+        (lambda: cr_error_constant(uniform_square_mesh(2), np.nan), "first CR eigenvalue"),
+        (lambda: cr_error_constant(uniform_square_mesh(2), np.inf), "first CR eigenvalue"),
+    ],
+    ids=[
+        "lower-nan-value",
+        "lower-inf-value",
+        "lower-nan-constant",
+        "lower-inf-constant",
+        "cert-nan-proj",
+        "cert-nan-trace",
+        "cert-inf-trace",
+        "cr-nan",
+        "cr-inf",
+    ],
+)
+def test_bound_formulas_reject_non_finite_input(call, message):
+    """NaN fails every ordered comparison, so a guard written as
+    value <= 0.0 lets it through to a NaN bound; each guard must reject
+    NaN and infinity with a ValueError naming the input."""
+    with pytest.raises(ValueError, match=f"{message} must be .* and finite"):
+        call()
+
+
+def test_bound_formulas_keep_their_bits_on_valid_input(rng):
+    """The finiteness guards change no valid result: each formula gives
+    the same bits as its plain expression, at both ends of the range."""
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    for lam, c in [(5.0, 0.0), (tiny, 0.5), (big, 0.0), (1.0, 1e150)] + [
+        (float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.0, 2.0))) for _ in range(50)
+    ]:
+        assert certified_lower_bound(lam, c) == lam / (1.0 + c * c * lam)
+        assert certification_constant(c, lam) == float(np.hypot(c, lam))
+
+
 # --- CR constant --------------------------------------------------------------
 
 

@@ -189,6 +189,7 @@ def test_bounds_refs_override(tmp_path, capsys):
         ("[1, 2]", "list"),
         ('{"unit_square": {"values": 3}}', "'unit_square'"),
         ('{"unit_square": {"values": [NaN]}}', "'unit_square'"),
+        ('{"unit_square": {"values": []}}', "'unit_square'"),
         ('{"unit_square": ', "not valid JSON"),
         ('{"l_shape": {"values": [0.3]}}', "no entry for 'unit_square'"),
     ],
@@ -205,6 +206,23 @@ def test_bounds_bad_refs_file_is_an_error_message(tmp_path, capsys, text, entry)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(refs) in err and entry in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["bounds", "--domain", "square", "--n", "2"],
+        ["convergence", "--domain", "square", "--levels", "2,4"],
+    ],
+)
+def test_refs_with_no_refs_is_a_usage_error(tmp_path, capsys, command):
+    """--no-refs would silently drop the table --refs asks for: the pair
+    is a usage error, as --mesh with --domain is."""
+    refs = tmp_path / "refs.json"
+    refs.write_text(json.dumps({"unit_square": {"values": [0.25]}}))
+    code, out, err = _run(command + ["--k", "1", "--refs", str(refs), "--no-refs"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --no-refs excludes --refs\n"
 
 
 def test_bounds_json_format(capsys):

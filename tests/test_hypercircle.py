@@ -301,6 +301,36 @@ def test_perturbed_mean_shift_is_rejected(system_square4, rng):
         solver._multipliers(loads(shift + 1e-6), traces, solver._edges.solve)
 
 
+@pytest.mark.parametrize("gen,n", [(uniform_square_mesh, 8), (uniform_lshape_mesh, 4)])
+def test_pin_in_place_matches_the_deleted_pin(gen, n, rng):
+    """The pinned multiplier keeps its number: the kept factor's matrix
+    has the unit row and column there, mu is exactly zero there, and the
+    other entries match a solve of the edge system with the pin's row and
+    column deleted."""
+    sysm = assemble_system(gen(n))
+    solver = EquilibrationSolver(sysm)
+    g = rng.standard_normal(sysm.dofs.dim_trace)
+    neumann = solver.solve_neumann(g)
+    shift = solver.solve_flux(g, neumann).mean_shift
+    loads = (sysm.broken_coupling @ neumann.coefficients - shift * sysm.broken_moments)[:, None]
+    traces = solver._trace_to_edge @ g[:, None]
+    _, mu = solver._multipliers(loads, traces, solver._edges.solve)
+
+    pin, edges = solver._pin, solver._edges._a.tocsr()
+    unit = np.zeros(edges.shape[0])
+    unit[pin] = 1.0
+    assert edges[pin].nnz == edges[:, pin].nnz == 1
+    assert np.array_equal(edges[pin].toarray().ravel(), unit)
+    assert np.array_equal(edges[:, pin].toarray().ravel(), unit)
+    assert mu[pin, 0] == 0.0
+
+    # the route that deletes the pin, on the same matrix
+    free = np.delete(np.arange(edges.shape[0]), pin)
+    rhs = solver._load_to_edge @ loads - traces
+    oracle = linalg.CholeskyFactor(edges[free][:, free]).solve(rhs[free])
+    assert np.abs(mu[free] - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
 def test_pinned_edge_system_residual_near_roundoff():
     """Every kappa column solves the pinned edge-multiplier system to a
     relative residual near roundoff.  Pinning a boundary multiplier
@@ -312,7 +342,7 @@ def test_pinned_edge_system_residual_near_roundoff():
         (sysm.stiffness + sysm.mass).toarray(), sysm.boundary_coupling.toarray()
     )
     rhs = solver._load_to_edge @ (sysm.broken_coupling @ y_all) - solver._trace_to_edge.toarray()
-    rhs = rhs[solver._free]
+    rhs[solver._pin] = 0.0
     x = solver._edges.solve(rhs)
     residual = np.linalg.norm(solver._edges._a @ x - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
     assert residual.max() < 1e-12
@@ -447,7 +477,7 @@ def _cached(obj):
 def test_constant_builds_no_evaluation_operators(rng):
     """constant(), all a certified table asks of the solver, builds
     neither the system's evaluation operators nor the solver's flux
-    maps; the per-datum flux audit builds both."""
+    map; the per-datum flux audit builds both."""
     system = assemble_system(uniform_square_mesh(8))
     solver = EquilibrationSolver(system)
     solver.constant()
@@ -457,7 +487,7 @@ def test_constant_builds_no_evaluation_operators(rng):
     flux = solver.solve_flux(g, neumann)
     solver.divergence_gap(neumann, flux)
     solver.error_norm(neumann, flux, check_routes=True)
-    assert _cached(system) == {"_evaluation"} and _cached(solver) == {"_flux_maps"}
+    assert _cached(system) == {"_evaluation"} and _cached(solver) == {"_flux_map"}
 
 
 def test_constant_decreases_under_refinement():
