@@ -283,12 +283,17 @@ def _resolve_mesh(args):
     return _GENERATORS[args.domain](n), n
 
 
-def _report(args, domain, meshes):
-    """Certify each (mesh, n) of meshes in turn, then render the rows
-    grouped by method to --out or stdout."""
+def _report_k(args):
+    """The usage checks of the report options, made before any mesh is
+    read or generated; returns --k."""
     if args.refs and args.no_refs:
         raise UsageError("--no-refs excludes --refs")
-    k = _positive("--k", args.k)
+    return _positive("--k", args.k)
+
+
+def _report(args, k, domain, meshes):
+    """Certify each (mesh, n) of meshes in turn, then render the rows
+    grouped by method to --out or stdout."""
     if args.no_refs:
         references = None
     elif args.refs:
@@ -323,8 +328,9 @@ def _cmd_mesh(args):
 def _cmd_bounds(args):
     if args.dump_matrices is not None and "conforming" not in _METHODS[args.method]:
         raise UsageError("--dump-matrices needs --method conforming or both")
+    k = _report_k(args)
     mesh, n = _resolve_mesh(args)
-    return _report(args, mesh.domain, [(mesh, n)])
+    return _report(args, k, mesh.domain, [(mesh, n)])
 
 
 def _cmd_convergence(args):
@@ -336,8 +342,9 @@ def _cmd_convergence(args):
         raise UsageError("--levels needs at least two levels")
     if any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise UsageError("--levels must be increasing positive integers")
+    k = _report_k(args)
     meshes = ((_GENERATORS[args.domain](n), n) for n in ns)
-    return _report(args, _DOMAIN_FLAGS[args.domain], meshes)
+    return _report(args, k, _DOMAIN_FLAGS[args.domain], meshes)
 
 
 def _add_report_options(parser, method):

@@ -75,6 +75,7 @@ from .linalg import (
     LinearAlgebraError,
     _check_residual,
     _column_norms,
+    _top_eigenpairs,
     _trailing_root,
 )
 
@@ -324,7 +325,9 @@ class EquilibrationSolver:
         """Projection error constant: worst error over unit boundary data.
 
         Assembles the error quadratic form Q on the trace space and takes
-        the largest eigenvalue of Q against the trace Gram matrix.  Data
+        the largest eigenvalue of Q against the trace Gram matrix G: after
+        a Cholesky factor G = L L^T, the top pair of L^{-1} Q L^{-T} from
+        _top_eigenpairs, with no other eigenvector formed.  Data
         enter the conforming problem only through C g, C the boundary
         coupling, whose rows at the s/2 boundary vertices form C_b.  A
         complete QR of C_b^T splits the trace space into orthonormal
@@ -418,9 +421,16 @@ class EquilibrationSolver:
         if norm > 0 and asym > 1e-8 * norm:
             raise LinearAlgebraError(f"error quadratic form asymmetry {asym / norm:.3e}")
         quad = 0.5 * (quad + quad.T)
-        values, vectors = sla.eigh(quad, sysm.boundary_mass.toarray(), check_finite=False)
-        value = float(np.sqrt(max(values[-1], 0.0)))
-        return ProjectionConstant(value, BoundaryField(vectors[:, -1]), quad)
+        # the top pair of Q x = kappa^2 G x, G = L L^T the trace Gram
+        # matrix: the top pair (mu, y) of L^{-1} Q L^{-T} gives
+        # kappa^2 = mu and the G-normalized maximizer x = L^{-T} y
+        root_g = sla.cholesky(sysm.boundary_mass.toarray(), lower=True, check_finite=False)
+        reduced = sla.blas.dtrsm(1.0, root_g, quad, lower=1)
+        reduced = sla.blas.dtrsm(1.0, root_g, reduced, side=1, lower=1, trans_a=1, overwrite_b=1)
+        mu, top = _top_eigenpairs(reduced)
+        maximizer = sla.blas.dtrsm(1.0, root_g, top(1), lower=1, trans_a=1)
+        value = float(np.sqrt(max(mu[-1], 0.0)))
+        return ProjectionConstant(value, BoundaryField(maximizer[:, 0]), quad)
 
     def divergence_gap(self, neumann, flux):
         """Broken L2 norm of div p - u (zero up to roundoff by design).

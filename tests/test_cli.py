@@ -279,9 +279,12 @@ def test_bounds_usage_errors(tmp_path, capsys):
     code, _, err = _run(["bounds", "--mesh", missing], capsys)
     assert code == 1
     assert "error:" in err
-    # the mesh is read before --k is checked
-    code, _, err = _run(["bounds", "--mesh", missing, "--k", "0"], capsys)
-    assert code == 1 and "cannot read mesh file" in err
+    # the report options are checked before the mesh is read
+    code, out, err = _run(["bounds", "--mesh", missing, "--k", "0"], capsys)
+    assert (code, out, err) == (2, "", "error: --k must be >= 1, got 0\n")
+    refs = str(tmp_path / "refs.json")
+    code, out, err = _run(["bounds", "--mesh", missing, "--refs", refs, "--no-refs"], capsys)
+    assert (code, out, err) == (2, "", "error: --no-refs excludes --refs\n")
 
 
 def test_bounds_dump_matrices_needs_conforming(tmp_path, capsys):

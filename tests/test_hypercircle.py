@@ -154,6 +154,32 @@ def test_constant_bounds_every_error(solver_square2, rng):
     assert attained == pytest.approx(result.value * norm, rel=1e-10)
 
 
+def test_constant_computes_only_the_top_vector(monkeypatch):
+    """kappa's pair comes from one inverse iteration with one shift and
+    no dense eigh, although the top half of the form's spectrum lies
+    within 2.1e-4 relative of its largest at square n = 16.  The
+    maximizer is G-normalized and attains kappa^2 in the form."""
+    system = assemble_system(uniform_square_mesh(16))
+    solver = EquilibrationSolver(system)
+    shifts = []
+    dstein = hypercircle.sla.lapack.dstein
+
+    def spying(d, e, w, *args):
+        shifts.append(w.size)
+        return dstein(d, e, w, *args)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense eigh ran")
+
+    monkeypatch.setattr(hypercircle.sla.lapack, "dstein", spying)
+    monkeypatch.setattr(hypercircle.sla, "eigh", dense)
+    result = solver.constant()
+    assert shifts == [1]
+    x = result.maximizer.coefficients
+    assert x @ (system.boundary_mass @ x) == pytest.approx(1.0, rel=1e-12)
+    assert x @ (result.quad_form @ x) == pytest.approx(result.value**2, rel=1e-12)
+
+
 def test_quad_form_diagonal_matches_error_route(solver_square2):
     """The assembled quadratic form evaluates the squared error."""
     sysm = solver_square2.system

@@ -220,18 +220,60 @@ def test_eig_orthonormality_and_residual(system_square2):
     assert np.all(np.diff(result.values) >= -1e-14)
 
 
+def _cr_pencil(mesh):
+    stiffness, mass, boundary_form, _ = assemble_cr(mesh)
+    return stiffness + mass, boundary_form
+
+
+def _p1_pencil(mesh):
+    system = assemble_system(mesh)
+    return system.stiffness + system.mass, system.vertex_boundary_mass
+
+
 def test_eig_returns_only_the_selected_vectors():
     """With k given, only k vectors are formed; the finite count and the
-    selected pairs are those of the full finite spectrum."""
-    stiffness, mass, boundary_form, _ = assemble_cr(uniform_lshape_mesh(4))
-    a = stiffness + mass
-    every = general_sym_eig(a, boundary_form)
-    three = general_sym_eig(a, boundary_form, k=3)
-    assert three.vectors.shape == (a.shape[0], 3)
-    assert every.vectors.shape == (a.shape[0], every.n_finite)
-    assert three.n_finite == every.n_finite
-    assert np.array_equal(three.values, every.values[:3])
-    assert np.allclose(three.vectors, every.vectors[:, :3], rtol=0.0, atol=1e-13)
+    selected pairs are those of the full finite spectrum, bit for bit in
+    the values.  On the unit square both pencils have the double
+    eigenvalue lambda_2 = lambda_3, whose two vectors inverse iteration
+    must reorthogonalize."""
+    for a, b in [
+        _cr_pencil(uniform_lshape_mesh(4)),
+        _cr_pencil(uniform_square_mesh(8)),
+        _p1_pencil(uniform_square_mesh(8)),
+    ]:
+        every = general_sym_eig(a, b)
+        three = general_sym_eig(a, b, k=3)
+        assert three.vectors.shape == (a.shape[0], 3)
+        assert every.vectors.shape == (a.shape[0], every.n_finite)
+        assert three.n_finite == every.n_finite
+        assert np.array_equal(three.values, every.values[:3])
+        assert np.allclose(three.vectors, every.vectors[:, :3], rtol=0.0, atol=1e-13)
+        gram = three.vectors.T @ (b @ three.vectors)
+        assert np.allclose(gram, np.eye(3), rtol=0.0, atol=1e-12)
+
+
+def test_eig_computes_only_the_selected_vectors(monkeypatch):
+    """No full dense eigensolve runs: the reduced problem's vectors come
+    from one inverse iteration call whose shifts are its three largest
+    eigenvalues, mu = 1/lambda of the three selected pairs, largest
+    first (negated, as dstein runs on -T); 3 of 155 here."""
+    a, b = _cr_pencil(uniform_lshape_mesh(8))
+    shifts = []
+    dstein = sla.lapack.dstein
+
+    def spying(d, e, w, *args):
+        shifts.append(w.copy())
+        return dstein(d, e, w, *args)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense eigh ran")
+
+    monkeypatch.setattr(sla.lapack, "dstein", spying)
+    monkeypatch.setattr(linalg.sla, "eigh", dense)
+    result = general_sym_eig(a, b, k=3)
+    assert result.support.size == 155
+    assert len(shifts) == 1
+    assert np.allclose(-shifts[0], 1.0 / result.values, rtol=1e-12, atol=0.0)
 
 
 def _spy_on_superlu(monkeypatch, spy=_SuperLUSpy):
@@ -294,14 +336,19 @@ def test_eigenpair_check_rejects_a_corrupted_pair(monkeypatch):
     """A reduced eigenvector mixed with its neighbour passes every solve
     check, and the per-pair residual check rejects it."""
     system = assemble_system(uniform_square_mesh(4))
-    eigh = sla.eigh
+    top_eigenpairs = linalg._top_eigenpairs
 
-    def corrupted(*args, **kwargs):
-        mu, y = eigh(*args, **kwargs)
-        y[:, -1] += 1e-6 * y[:, -2]
-        return mu, y
+    def corrupted(sym):
+        mu, top = top_eigenpairs(sym)
 
-    monkeypatch.setattr(linalg.sla, "eigh", corrupted)
+        def mixed(k):
+            y = top(k)
+            y[:, 0] += 1e-6 * y[:, 1]
+            return y
+
+        return mu, mixed
+
+    monkeypatch.setattr(linalg, "_top_eigenpairs", corrupted)
     with pytest.raises(LinearAlgebraError, match="eigenpair check: .* of column 0"):
         general_sym_eig(system.stiffness + system.mass, system.vertex_boundary_mass, k=2)
 
