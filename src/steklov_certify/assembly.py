@@ -18,11 +18,13 @@ a signed permutation of the trace-space slots.
 All assembled integrands are polynomials of degree at most four; the
 six-point triangle rule below is exact for them.  Element matrices are
 symmetrized before scattering, so assembled matrices are exactly
-symmetric.  Pointwise evaluation of flux fields and P1 gradients is a
-sparse matrix-vector product with maps that a system builds on first
-use and caches; a certified table never evaluates a flux, so never
-builds them.  Everything here is pure, and the cache is a pure function
-of the system: meshes and systems can be shared across threads.
+symmetric.  An assembled system keeps what a certificate reads.  What
+only the per-datum flux audit or --dump-matrices reads, the flux
+matrices and the sparse maps that evaluate fluxes and P1 gradients, it
+builds on first use and caches, and so the flux element data once the
+flux solver has taken them.  Everything here is pure, and the cache is
+a pure function of the system: meshes and systems can be shared across
+threads.
 """
 
 from __future__ import annotations
@@ -199,6 +201,11 @@ class DofMaps:
     tri_edges: np.ndarray
     tri_edge_sign: np.ndarray
 
+    @property
+    def dim_rt(self):
+        """All Raviart-Thomas dofs, interior and boundary."""
+        return self.dim_rt_interior + self.dim_rt_boundary
+
 
 def build_dof_maps(mesh):
     nt = mesh.num_triangles
@@ -235,15 +242,20 @@ def build_dof_maps(mesh):
 
 @dataclass(frozen=True)
 class RTElements:
-    """Per-element flux basis data for pointwise evaluation.
+    """Per-element flux data, in the order of the global dofs gdofs[t].
 
     The basis on element t is psi_d = sum_mu coeffs[t, mu, d] * m_mu where
     m_mu are the eight monomial fields (1,0), (xi,0), (eta,0), (0,1),
     (0,xi), (0,eta), (xi^2, xi*eta), (xi*eta, eta^2) in the local frame
-    xi = (x - centroid[t]) / scale[t].  mass[t] (8, 8) and div[t] (3, 8)
+    xi = (x - centroids[t]) / scales[t].  mass[t] (8, 8) and div[t] (3, 8)
     are the element flux mass matrix and the products of the three
-    broken hats with the basis divergences, in the local dof order of
-    gdofs[t].
+    broken hats with the basis divergences.
+
+    The certificate reads mass and div alone, once, for the flux
+    solver's local inverse.  The audit reads gdofs, mass and div for its
+    flux map and rt_mass, and coeffs, centroids and scales for its
+    evaluation maps; --dump-matrices reads gdofs, mass and div through
+    rt_mass and div_coupling.
     """
 
     gdofs: np.ndarray
@@ -288,16 +300,10 @@ def _local_vertices(mesh, centroids, scales):
     return (mesh.vertices[mesh.triangles] - centroids[:, None, :]) / scales[:, None, None]
 
 
-def assemble_rt1(mesh, dofs):
-    """Flux mass matrix, divergence coupling and element data.
-
-    Returns (rt_mass, div_coupling, elements) with rt_mass of size
-    (p, p), p = dim_rt_interior + dim_rt_boundary, and div_coupling of
-    size (dim_broken, p) holding products of broken hats with divergences.
-    """
+def assemble_rt_elements(mesh, dofs):
+    """The flux element data of the mesh, an RTElements."""
     bary, wq = TRIANGLE_RULE
     nt = mesh.num_triangles
-    p_total = dofs.dim_rt_interior + dofs.dim_rt_boundary
     tris = mesh.triangles
     areas = mesh.triangle_areas()
 
@@ -320,9 +326,16 @@ def assemble_rt1(mesh, dofs):
     pts = bary @ xi
     mvals = _monomial_values(pts)
     v[:, 6:8] = np.einsum("q,tqmd->tdm", wq, mvals)
+    # the stacks go as soon as they are read: a flux audit builds this
+    # data beside the factors, and the stacks it kept to the end made
+    # the peak RSS of a long audit grow
     c = np.linalg.inv(v)
+    del v
 
-    mass_mono = areas[:, None, None] * np.einsum("q,tqmd,tqnd->tmn", wq, mvals, mvals)
+    # the monomial mass is x^T x, one row of x per (point, component)
+    x = np.swapaxes(np.sqrt(wq)[:, None, None] * mvals, 2, 3).reshape(nt, -1, 8)
+    mass_mono = areas[:, None, None] * (np.swapaxes(x, 1, 2) @ x)
+    del x, mvals
     mass_elem = np.swapaxes(c, 1, 2) @ mass_mono @ c
     mass_elem = 0.5 * (mass_elem + np.swapaxes(mass_elem, 1, 2))
     div_mono = _monomial_divergences(pts, scales[:, None])
@@ -331,14 +344,7 @@ def assemble_rt1(mesh, dofs):
     gdofs = np.concatenate(
         [dofs.rt_edge_dofs[dofs.tri_edges].reshape(nt, 6), dofs.rt_tri_dofs], axis=1
     )
-    rt_mass = scatter_csr(
-        np.repeat(gdofs, 8, axis=1), np.tile(gdofs, (1, 8)), mass_elem, (p_total, p_total)
-    )
-    div_coupling = scatter_csr(
-        np.repeat(np.arange(3 * nt), 8), np.tile(gdofs, (1, 3)), div_elem, (3 * nt, p_total)
-    )
-    elements = RTElements(gdofs, c, centroids, scales, mass_elem, div_elem)
-    return rt_mass, div_coupling, elements
+    return RTElements(gdofs, c, centroids, scales, mass_elem, div_elem)
 
 
 class _Evaluation(NamedTuple):
@@ -377,7 +383,19 @@ class AssembledSystem:
 
     Every matrix is stored once, as csr; only broken_moments is a
     vector.  The boundary operators are those of BoundaryOperators.
-    Flux matrices (rt_mass (p, p) and div_coupling (dim_broken, p))
+    The certificate reads every field but broken_mass: stiffness, mass
+    and vertex_boundary_mass make the conforming pencil, and stiffness +
+    mass, the boundary operators and the broken coupling and moments the
+    projection constant.  broken_mass serves the audit's divergence gap,
+    and --dump-matrices writes every matrix.
+
+    The flux space lives in cached properties.  rt_elements is filled by
+    assemble_system and taken out by the flux solver once it has its
+    local inverse, so a certified level keeps no element data; an audit
+    builds it again on first use.  The flux mass matrix rt_mass (p, p),
+    p = dofs.dim_rt, which the audit's error_norm reads, and the
+    divergence coupling div_coupling (dim_broken, p), which only
+    --dump-matrices and the tests read, are built on first use.  They
     number the interior dofs first and the boundary dofs (loop order)
     last, so their interior and boundary blocks are the column slices
     at dofs.dim_rt_interior.
@@ -394,9 +412,6 @@ class AssembledSystem:
     broken_mass: sp.csr_matrix
     broken_coupling: sp.csr_matrix
     broken_moments: np.ndarray
-    rt_mass: sp.csr_matrix
-    div_coupling: sp.csr_matrix
-    rt_elements: RTElements
 
     def boundary_integral(self, g):
         """Integral of a trace-space function over the boundary."""
@@ -408,13 +423,33 @@ class AssembledSystem:
         return float(np.sqrt(max(g @ (self.boundary_mass @ g), 0.0)))
 
     @functools.cached_property
+    def rt_elements(self):
+        """The flux element data, an RTElements."""
+        return assemble_rt_elements(self.mesh, self.dofs)
+
+    def _take_rt_elements(self):
+        """rt_elements, taken out of the cache: an audit builds it again."""
+        return self.__dict__.pop("rt_elements", None) or assemble_rt_elements(self.mesh, self.dofs)
+
+    @functools.cached_property
+    def rt_mass(self):
+        el, p = self.rt_elements, self.dofs.dim_rt
+        rows, cols = np.repeat(el.gdofs, 8, axis=1), np.tile(el.gdofs, (1, 8))
+        return scatter_csr(rows, cols, el.mass, (p, p))
+
+    @functools.cached_property
+    def div_coupling(self):
+        el, m, p = self.rt_elements, self.dofs.dim_broken, self.dofs.dim_rt
+        return scatter_csr(np.repeat(np.arange(m), 8), np.tile(el.gdofs, (1, 3)), el.div, (m, p))
+
+    @functools.cached_property
     def _evaluation(self):
         """Pointwise evaluation as csr maps of the coefficients, built on
         first use: the values of a flux at the triangle-rule points
         (nt*q*2, p), its divergence at the triangle vertices (3 nt, p)
         and the gradient of a P1 function per triangle (2 nt, n); and the
         triangle areas."""
-        mesh, el, p = self.mesh, self.rt_elements, self.rt_mass.shape[0]
+        mesh, el, p = self.mesh, self.rt_elements, self.dofs.dim_rt
         xi = _local_vertices(mesh, el.centroids, el.scales)
         values = np.swapaxes(_monomial_values(TRIANGLE_RULE[0] @ xi), 2, 3) @ el.coeffs[:, None]
         divergence = _monomial_divergences(xi, el.scales[:, None]) @ el.coeffs
@@ -433,8 +468,7 @@ def assemble_system(mesh):
     stiffness, mass = assemble_p1(mesh)
     boundary = assemble_boundary(mesh)
     broken_mass, broken_coupling, moments = assemble_broken(mesh)
-    rt_mass, div_coupling, elements = assemble_rt1(mesh, dofs)
-    return AssembledSystem(
+    system = AssembledSystem(
         mesh=mesh,
         dofs=dofs,
         stiffness=stiffness,
@@ -446,10 +480,9 @@ def assemble_system(mesh):
         broken_mass=broken_mass,
         broken_coupling=broken_coupling,
         broken_moments=moments,
-        rt_mass=rt_mass,
-        div_coupling=div_coupling,
-        rt_elements=elements,
     )
+    system.__dict__["rt_elements"] = assemble_rt_elements(mesh, dofs)
+    return system
 
 
 @dataclass(frozen=True)
@@ -521,7 +554,7 @@ def rt_values_at_quadrature(system, x):
 
     Raises ValueError unless x has one entry per Raviart-Thomas dof.
     """
-    values = system._evaluation.values @ _check_length(x, system.rt_mass.shape[0], "flux")
+    values = system._evaluation.values @ _check_length(x, system.dofs.dim_rt, "flux")
     return values.reshape(system.mesh.num_triangles, -1, 2)
 
 
@@ -531,5 +564,5 @@ def rt_divergence_vertex_values(system, x):
     The divergence is linear per element, so vertex values determine it.
     Raises ValueError unless x has one entry per Raviart-Thomas dof.
     """
-    divergence = system._evaluation.divergence @ _check_length(x, system.rt_mass.shape[0], "flux")
+    divergence = system._evaluation.divergence @ _check_length(x, system.dofs.dim_rt, "flux")
     return divergence.reshape(-1, 3)

@@ -37,7 +37,7 @@ from .assembly import AssembledSystem, assemble_system
 from .hypercircle import EquilibrationSolver
 from .linalg import LinearAlgebraError
 from .mesh import MeshError, read_mesh, uniform_lshape_mesh, uniform_square_mesh, write_mesh
-from .steklov import solve_steklov_cr, solve_steklov_p1
+from .steklov import pencil_spectrum, solve_steklov_cr
 
 __all__ = [
     "LevelResult",
@@ -117,7 +117,9 @@ def certify_level(mesh, k, methods, references, n=None, dump_dir=None):
             _dump_matrices(system, dump_dir)
         proj = EquilibrationSolver(system).constant()
         cert = bnd.certification_constant(trace_const, proj.value)
-        spectrum = solve_steklov_p1(mesh, k)
+        spectrum = pencil_spectrum(
+            "conforming", system.stiffness + system.mass, system.vertex_boundary_mass, k
+        )
         results.append(level("conforming", spectrum, cert, proj_const=proj.value, cert_const=cert))
     if "cr" in methods:
         spectrum = solve_steklov_cr(mesh, k)
@@ -250,16 +252,16 @@ def _dump_matrices(system, directory):
     column, as (row, col, value) triplet files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for field in fields(AssembledSystem):
-        matrix = getattr(system, field.name)
-        if field.name == "broken_moments":
+    for name in [field.name for field in fields(AssembledSystem)] + ["rt_mass", "div_coupling"]:
+        matrix = getattr(system, name)
+        if name == "broken_moments":
             matrix = matrix[:, None]
         elif not sp.issparse(matrix):
             continue
         coo = sp.coo_matrix(matrix)
         order = np.lexsort((coo.col, coo.row))
         np.savetxt(
-            directory / f"{field.name}.txt", np.column_stack([coo.row, coo.col, coo.data])[order],
+            directory / f"{name}.txt", np.column_stack([coo.row, coo.col, coo.data])[order],
             fmt="%d %d %.17g", header=f"{coo.shape[0]} {coo.shape[1]}", comments="# ",
         )
 

@@ -151,21 +151,12 @@ class EquilibrationSolver:
     def __init__(self, system: AssembledSystem):
         self.system = system
         self._p1 = CholeskyFactor(system.stiffness + system.mass)
-        mesh, dofs, el = system.mesh, system.dofs, system.rt_elements
-        nt = mesh.num_triangles
-        s = dofs.dim_trace
+        mesh, dofs = system.mesh, system.dofs
+        s, m = dofs.dim_trace, dofs.dim_broken
         n_edge = 2 * len(dofs.edges)
-        # edge multiplier 2e + k belongs to the RT dof k of edge e; sign is
-        # +1 where the global edge normal is the element's outward normal
-        edge_dof = (2 * dofs.tri_edges[:, :, None] + np.arange(2)).reshape(nt, 6)
-        sign = np.repeat(dofs.tri_edge_sign, 2, axis=1)
-        broken = np.arange(3 * nt).reshape(nt, 3)
-
-        local = np.zeros((nt, 11, 11))
-        local[:, :8, :8] = el.mass
-        local[:, :8, 8:] = np.swapaxes(el.div, 1, 2)
-        local[:, 8:, :8] = el.div
-        inv = np.linalg.inv(local)
+        # the element data goes with its last reader, so that no
+        # element stack is alive beside the edge factors
+        inv, edge_dof, sign, broken = _local_inverse(dofs, system._take_rt_elements())
         edge_block = inv[:, :6, :6] * sign[:, :, None] * sign[:, None, :]
         schur = scatter_csr(
             np.repeat(edge_dof, 6, axis=1),
@@ -177,16 +168,11 @@ class EquilibrationSolver:
         # gives the broken multiplier per edge multiplier
         rows, cols = np.broadcast_arrays(edge_dof[:, :, None], broken[:, None, :])
         load_block = sign[:, :, None] * inv[:, :6, 8:]
-        self._load_to_edge = scatter_csr(rows, cols, load_block, (n_edge, 3 * nt))
+        self._load_to_edge = scatter_csr(rows, cols, load_block, (n_edge, m))
         self._lam_of_load = scatter_csr(
-            np.repeat(broken, 3, axis=1), np.tile(broken, (1, 3)), inv[:, 8:, 8:], (3 * nt, 3 * nt)
+            np.repeat(broken, 3, axis=1), np.tile(broken, (1, 3)), inv[:, 8:, 8:], (m, m)
         )
-        # each element's flux dofs from its entries of [mu; loads]; a copy,
-        # so that the (nt, 11, 11) stacks go before any edge factor
-        self._flux_stack = np.delete(inv[:, :8], [6, 7], axis=2)
-        self._flux_stack[:, :, :6] *= -sign[:, None, :]
-        self._flux_cols = np.concatenate([edge_dof, n_edge + broken], axis=1)
-        del local, inv, edge_block, load_block
+        del inv, edge_block, load_block
 
         # outward normal traces of the boundary edges: the trace map's
         # sign is that of the global normal against the outward one, and
@@ -249,13 +235,19 @@ class EquilibrationSolver:
     @functools.cached_property
     def _flux_map(self):
         """Flux dofs as one linear map of [mu; loads], each dof the mean
-        of its elements' values.  Built on the first solve_flux:
-        constant() needs none of it."""
-        gdofs = self.system.rt_elements.gdofs
-        count = np.bincount(gdofs.ravel(), minlength=self.system.rt_mass.shape[0])
-        rows, cols = np.broadcast_arrays(gdofs[:, :, None], self._flux_cols[:, None, :])
-        width = sum(self._load_to_edge.shape)
-        return scatter_csr(rows, cols, self._flux_stack / count[rows], (count.size, width))
+        of its elements' values.  Built on the first solve_flux, from
+        the system's element data: constant() needs none of it."""
+        dofs, el = self.system.dofs, self.system.rt_elements
+        inv, edge_dof, sign, broken = _local_inverse(dofs, el)
+        # each element's flux dofs from its entries of [mu; loads]
+        stack = np.delete(inv[:, :8], [6, 7], axis=2)
+        del inv
+        stack[:, :, :6] *= -sign[:, None, :]
+        n_edge, width = self._load_to_edge.shape[0], sum(self._load_to_edge.shape)
+        count = np.bincount(el.gdofs.ravel(), minlength=dofs.dim_rt)
+        flux_cols = np.concatenate([edge_dof, n_edge + broken], axis=1)
+        rows, cols = np.broadcast_arrays(el.gdofs[:, :, None], flux_cols[:, None, :])
+        return scatter_csr(rows, cols, stack / count[rows], (count.size, width))
 
     def solve_neumann(self, data):
         """Conforming solution for trace-space boundary data."""
@@ -302,7 +294,7 @@ class EquilibrationSolver:
         """
         sysm = self.system
         y = _checked(neumann.coefficients, sysm.dofs.dim_p1, "Neumann solution")
-        x = _checked(flux.coefficients, sysm.rt_mass.shape[0], "flux")
+        x = _checked(flux.coefficients, sysm.dofs.dim_rt, "flux")
         g = sysm.trace_map.T @ x[sysm.dofs.dim_rt_interior :]
         volume_integral = float(np.sum(sysm.mass @ y))
         closed = (
@@ -439,10 +431,25 @@ class EquilibrationSolver:
         wrong length.
         """
         sysm = self.system
-        x = _checked(flux.coefficients, sysm.rt_mass.shape[0], "flux")
+        x = _checked(flux.coefficients, sysm.dofs.dim_rt, "flux")
         y = _checked(neumann.coefficients, sysm.dofs.dim_p1, "Neumann solution")
         diff = (rt_divergence_vertex_values(sysm, x) - y[sysm.mesh.triangles]).ravel()
         return float(np.sqrt(max(diff @ (sysm.broken_mass @ diff), 0.0)))
+
+
+def _local_inverse(dofs, elements):
+    """Per element, the inverse of its (11, 11) saddle matrix [[mass,
+    div^T], [div, 0]], its edge multipliers (2e + k for the RT dof k of
+    edge e), their signs (+1 where the global edge normal is the
+    element's outward normal) and its broken dofs."""
+    nt = len(elements.gdofs)
+    local = np.zeros((nt, 11, 11))
+    local[:, :8, :8] = elements.mass
+    local[:, :8, 8:] = np.swapaxes(elements.div, 1, 2)
+    local[:, 8:, :8] = elements.div
+    edge_dof = (2 * dofs.tri_edges[:, :, None] + np.arange(2)).reshape(nt, 6)
+    sign = np.repeat(dofs.tri_edge_sign, 2, axis=1)
+    return np.linalg.inv(local), edge_dof, sign, np.arange(3 * nt).reshape(nt, 3)
 
 
 def _direct_error_squared(system, y, x):

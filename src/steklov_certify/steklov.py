@@ -26,6 +26,7 @@ __all__ = [
     "SteklovSpectrum",
     "assemble_cr",
     "degenerate_groups",
+    "pencil_spectrum",
     "rayleigh_quotient",
     "solve_steklov_cr",
     "solve_steklov_p1",
@@ -72,8 +73,9 @@ def _fix_signs(vectors, support):
     return out
 
 
-def _spectrum(method, a, boundary_form, k):
-    """The k smallest eigenpairs of the pencil (a, boundary_form), signs fixed."""
+def pencil_spectrum(method, a, boundary_form, k):
+    """The k smallest eigenpairs of the assembled pencil (a, boundary_form)
+    of a method, signs fixed."""
     result = general_sym_eig(a, boundary_form, k=k)
     return SteklovSpectrum(
         method=method,
@@ -88,7 +90,7 @@ def solve_steklov_p1(mesh, k):
     """The k smallest conforming P1 Steklov eigenvalues of the mesh."""
     stiffness, mass = assemble_p1(mesh)
     boundary_mass = assemble_boundary(mesh).vertex_boundary_mass
-    return _spectrum("conforming", stiffness + mass, boundary_mass, k)
+    return pencil_spectrum("conforming", stiffness + mass, boundary_mass, k)
 
 
 def assemble_cr(mesh):
@@ -137,7 +139,7 @@ def assemble_cr(mesh):
 def solve_steklov_cr(mesh, k):
     """The k smallest Crouzeix-Raviart Steklov eigenvalues of the mesh."""
     stiffness, mass, boundary_form, _ = assemble_cr(mesh)
-    return _spectrum("cr", stiffness + mass, boundary_form, k)
+    return pencil_spectrum("cr", stiffness + mass, boundary_form, k)
 
 
 def rayleigh_quotient(stiffness, mass, boundary_form, v):

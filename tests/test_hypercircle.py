@@ -387,6 +387,46 @@ def test_constant_memory_peak_square32():
     assert peak < 64e6
 
 
+def test_solver_live_size_after_constant_square64():
+    """A certified level holds no flux data the certificate does not
+    read: after constant() at square n = 64 the system and its solver
+    together keep a traced live size below 17 MB (14.1 MB measured;
+    39.0 MB while they held the flux matrices, the element data and the
+    flux stack beside its map).  SuperLU's own storage of the factors
+    is not traced."""
+    mesh = uniform_square_mesh(64)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        solver = EquilibrationSolver(assemble_system(mesh))
+        solver.constant()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live - start < 17e6
+
+
+# the largest n^2 (3 n kappa^2 - 1) measured on the square, 0.0222 at
+# n = 8, with 12% to spare; see square_kappa_law
+KAPPA_LAW_BOUND = 0.025
+
+
+def square_kappa_law(n):
+    """n^2 (3 n kappa^2 - 1) on the unit square at n.  kappa^2 tends to
+    h_e / 3, h_e = 1/n the boundary edge length, from above: measured
+    0.0222, 0.0138, 0.0108, 0.0096, 0.0091 and 0.0089 at n = 8..256."""
+    kappa = EquilibrationSolver(assemble_system(uniform_square_mesh(n))).constant().value
+    return n * n * (3.0 * n * kappa**2 - 1.0)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_square_kappa_law(n):
+    """0 < 3 n kappa^2 - 1 <= KAPPA_LAW_BOUND / n^2: a kappa check past
+    the paper's four digits, which catches a relative kappa error of
+    about 2e-6 at n = 64 (CI runs it at n = 128 too)."""
+    assert 0.0 < square_kappa_law(n) <= KAPPA_LAW_BOUND
+
+
 @pytest.mark.parametrize("gen, n", [(uniform_square_mesh, 16), (uniform_lshape_mesh, 8)])
 def test_constant_independent_of_worker_count(gen, n, monkeypatch):
     """Each block writes only its own columns, so one, two and four
@@ -501,19 +541,26 @@ def _cached(obj):
 
 
 def test_constant_builds_no_evaluation_operators(rng):
-    """constant(), all a certified table asks of the solver, builds
-    neither the system's evaluation operators nor the solver's flux
-    map; the per-datum flux audit builds both."""
+    """constant(), all a certified table asks of the solver, builds none
+    of the flux operators of the audit: the system's flux matrices and
+    evaluation maps, and the solver's flux map.  The solver takes the
+    system's element data, so the system holds no flux data at all.
+    One audited datum builds what it reads, the element data again
+    among them; div_coupling, which no audit reads, stays unbuilt.  A
+    second solver, from rebuilt element data, gives the same kappa."""
     system = assemble_system(uniform_square_mesh(8))
+    assert _cached(system) == {"rt_elements"}
     solver = EquilibrationSolver(system)
-    solver.constant()
+    kappa = solver.constant().value
     assert _cached(system) == set() and _cached(solver) == set()
     g = rng.standard_normal(system.dofs.dim_trace)
     neumann = solver.solve_neumann(g)
     flux = solver.solve_flux(g, neumann)
     solver.divergence_gap(neumann, flux)
     solver.error_norm(neumann, flux, check_routes=True)
-    assert _cached(system) == {"_evaluation"} and _cached(solver) == {"_flux_map"}
+    assert _cached(system) == {"rt_elements", "rt_mass", "_evaluation"}
+    assert _cached(solver) == {"_flux_map"}
+    assert EquilibrationSolver(system).constant().value == kappa
 
 
 def test_constant_decreases_under_refinement():
