@@ -6,23 +6,22 @@ process per level and source tree.
 Run from the root of a source checkout.  Each --tree NAME=DIR names a
 directory that holds the steklov_certify package; every level runs on
 each tree in turn, so the trees alternate.  The grid is the unit square
-at n = 8, 16, 32, 64, 128, 256 and the L-shape at n = 4, 8, 16, 32
-(--grid changes it).  A level is cli.certify_level with both methods
-and k = 3, what `bounds --method both` runs, reached only through
-entry points that every tree since the first benchmark has: the mesh
-generators, certify_level, assemble_system and EquilibrationSolver.
+at n = 8, 16, 32, 64, 128, 256 and the L-shape at n = 4, 8, 16, 32.  A
+level is cli.certify_level with both methods and k = 3, what `bounds
+--method both` runs, reached only through entry points that every tree
+since the first benchmark has: the mesh generators, certify_level and
+assemble_system.
 
 Per level and tree, child processes run with every BLAS and OpenMP pool
 on one thread, each after a warm-up level at n = 2:
-- --repeat timed runs.  perfbench's per-layer tracer
+- three timed runs (REPEAT).  perfbench's per-layer tracer
   (steklov_bench.layers, imported, not copied) wraps the package; a run
   records the wall time of the level, the self time of each traced
   stage and the process's peak RSS (ru_maxrss) at the end;
 - one memory run under tracemalloc.  It records the traced peak of the
   level (SuperLU's own storage is not traced), then the sizes read off
-  the returned objects: the dofs of each space, the nonzeros of every
-  sparse matrix that a fresh assemble_system result holds, and the
-  L + U nonzeros of the flux solver's two kept factors.
+  the returned objects: the dofs of each space and the nonzeros of
+  every sparse matrix that a fresh assemble_system result holds.
 
 The JSON written to --out holds every run; stdout gets one line per
 level with the median wall time and peak RSS of each tree.
@@ -44,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 GRID = "square:8,16,32,64,128,256 lshape:4,8,16,32"
+REPEAT = 3
 K = 3
 METHODS = ("conforming", "cr")
 
@@ -100,7 +100,7 @@ def child_memory(src, domain, n):
 
     cli, meshes = _load(src)
     import scipy.sparse as sp
-    from steklov_certify import EquilibrationSolver, assemble_system
+    from steklov_certify import assemble_system
 
     _certify(cli, meshes, domain, 2)
     tracemalloc.start()
@@ -110,7 +110,6 @@ def child_memory(src, domain, n):
     system = assemble_system(mesh)
     dofs = system.dofs
     held = {name: value.nnz for name, value in vars(system).items() if sp.issparse(value)}
-    solver = EquilibrationSolver(system)
     return {
         "tracemalloc_peak_mb": peak / 1e6,
         "triangles": mesh.num_triangles,
@@ -123,7 +122,6 @@ def child_memory(src, domain, n):
         },
         "system_nnz": dict(sorted(held.items())),
         "system_nnz_total": sum(held.values()),
-        "factor_nnz": {"p1": solver._p1._lu.nnz, "edges": solver._edges._lu.nnz},
     }
 
 
@@ -146,8 +144,6 @@ def parse_grid(text):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", default=[], metavar="NAME=DIR")
-    parser.add_argument("--grid", default=GRID)
-    parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--out")
     parser.add_argument("--child", choices=sorted(CHILDREN), help=argparse.SUPPRESS)
     parser.add_argument("--src", help=argparse.SUPPRESS)
@@ -158,12 +154,12 @@ def main(argv=None):
         print(json.dumps(CHILDREN[args.child](args.src, domain, n)))
         return 0
     trees = dict(tree.split("=", 1) for tree in args.tree)
-    if not trees or not args.out or args.repeat < 1:
-        parser.error("give at least one --tree NAME=DIR, --out and a --repeat of at least 1")
+    if not trees or not args.out:
+        parser.error("give at least one --tree NAME=DIR and --out")
     levels = []
-    for domain, n in parse_grid(args.grid):
+    for domain, n in parse_grid(GRID):
         runs = {name: {"timed": []} for name in trees}
-        for _ in range(args.repeat):
+        for _ in range(REPEAT):
             for name, src in trees.items():
                 runs[name]["timed"].append(run_child("timed", src, domain, n))
         for name, src in trees.items():
@@ -182,7 +178,7 @@ def main(argv=None):
         "script": "bench/grid.py",
         "level": f"cli.certify_level, methods {list(METHODS)}, k = {K}, references off",
         "trees": list(trees),
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "host": {
             "machine": platform.machine(),
             "nproc": len(os.sched_getaffinity(0)),

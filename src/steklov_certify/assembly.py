@@ -20,11 +20,10 @@ six-point triangle rule below is exact for them.  Element matrices are
 symmetrized before scattering, so assembled matrices are exactly
 symmetric.  An assembled system keeps what a certificate reads.  What
 only the per-datum flux audit or --dump-matrices reads, the flux
-matrices and the sparse maps that evaluate fluxes and P1 gradients, it
-builds on first use and caches, and so the flux element data once the
-flux solver has taken them.  Everything here is pure, and the cache is
-a pure function of the system: meshes and systems can be shared across
-threads.
+element data and matrices and the sparse maps that evaluate fluxes and
+P1 gradients, it builds on first use and caches.  Everything here is
+pure, and the cache is a pure function of the system: meshes and
+systems can be shared across threads.
 """
 
 from __future__ import annotations
@@ -389,13 +388,12 @@ class AssembledSystem:
     projection constant.  broken_mass serves the audit's divergence gap,
     and --dump-matrices writes every matrix.
 
-    The flux space lives in cached properties.  rt_elements is filled by
-    assemble_system and taken out by the flux solver once it has its
-    local inverse, so a certified level keeps no element data; an audit
-    builds it again on first use.  The flux mass matrix rt_mass (p, p),
-    p = dofs.dim_rt, which the audit's error_norm reads, and the
-    divergence coupling div_coupling (dim_broken, p), which only
-    --dump-matrices and the tests read, are built on first use.  They
+    The flux space lives in cached properties, built on first use.  The
+    flux solver assembles its own element data, so a certified level
+    builds none of them.  The audit reads the element data rt_elements
+    and the flux mass matrix rt_mass (p, p), p = dofs.dim_rt; only
+    --dump-matrices and the tests read the divergence coupling
+    div_coupling (dim_broken, p).  The two matrices
     number the interior dofs first and the boundary dofs (loop order)
     last, so their interior and boundary blocks are the column slices
     at dofs.dim_rt_interior.
@@ -426,10 +424,6 @@ class AssembledSystem:
     def rt_elements(self):
         """The flux element data, an RTElements."""
         return assemble_rt_elements(self.mesh, self.dofs)
-
-    def _take_rt_elements(self):
-        """rt_elements, taken out of the cache: an audit builds it again."""
-        return self.__dict__.pop("rt_elements", None) or assemble_rt_elements(self.mesh, self.dofs)
 
     @functools.cached_property
     def rt_mass(self):
@@ -468,7 +462,7 @@ def assemble_system(mesh):
     stiffness, mass = assemble_p1(mesh)
     boundary = assemble_boundary(mesh)
     broken_mass, broken_coupling, moments = assemble_broken(mesh)
-    system = AssembledSystem(
+    return AssembledSystem(
         mesh=mesh,
         dofs=dofs,
         stiffness=stiffness,
@@ -481,8 +475,6 @@ def assemble_system(mesh):
         broken_coupling=broken_coupling,
         broken_moments=moments,
     )
-    system.__dict__["rt_elements"] = assemble_rt_elements(mesh, dofs)
-    return system
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ from .assembly import (
     BoundaryField,
     TRIANGLE_RULE,
     _check_length,
+    assemble_rt_elements,
     coefficients_of,
     rt_divergence_vertex_values,
     rt_values_at_quadrature,
@@ -154,9 +155,9 @@ class EquilibrationSolver:
         mesh, dofs = system.mesh, system.dofs
         s, m = dofs.dim_trace, dofs.dim_broken
         n_edge = 2 * len(dofs.edges)
-        # the element data goes with its last reader, so that no
-        # element stack is alive beside the edge factors
-        inv, edge_dof, sign, broken = _local_inverse(dofs, system._take_rt_elements())
+        # element data of its own, gone before the edge factors; an
+        # audit builds the system's cached copy
+        inv, edge_dof, sign, broken = _local_inverse(dofs, assemble_rt_elements(mesh, dofs))
         edge_block = inv[:, :6, :6] * sign[:, :, None] * sign[:, None, :]
         schur = scatter_csr(
             np.repeat(edge_dof, 6, axis=1),

@@ -252,10 +252,9 @@ def test_boundary_operators_memory_peak_square64():
 
 
 def test_assembled_system_live_size_square64():
-    """assemble_system keeps only what a certificate reads, plus the
-    flux element data that the flux solver takes: its traced live size
-    at square n = 64 stays below 17 MB (14.6 MB measured; 23.5 MB while
-    the system also held the assembled flux matrices)."""
+    """assemble_system keeps only what a certificate reads: its traced
+    live size at square n = 64 stays below 5 MB (3.9 MB measured; 23.5 MB
+    while the system also held the flux matrices and element data)."""
     mesh = uniform_square_mesh(64)
     tracemalloc.start()
     try:
@@ -265,7 +264,7 @@ def test_assembled_system_live_size_square64():
     finally:
         tracemalloc.stop()
     assert system.dofs.dim_p1 == 65 * 65
-    assert live - start < 17e6
+    assert live - start < 5e6
 
 
 def test_outward_normals():
