@@ -105,27 +105,34 @@ def scatter_csr(rows, cols, data, shape):
     return sp.coo_matrix((np.ravel(data), (np.ravel(rows), np.ravel(cols))), shape=shape).tocsr()
 
 
+def scatter_blocks(row_dofs, col_dofs, blocks, shape):
+    """Sum the stack of element blocks blocks[t] (r, c) into a csr matrix
+    at rows row_dofs[t] (r,) and columns col_dofs[t] (c,)."""
+    r, c = blocks.shape[1:]
+    return scatter_csr(np.repeat(row_dofs, c, axis=1), np.tile(col_dofs, (1, r)), blocks, shape)
+
+
+def p1_stiffness_blocks(mesh):
+    """Element stiffness matrices of the P1 hats, (nt, 3, 3), symmetrized."""
+    grads = p1_gradients(mesh)
+    s_loc = np.einsum("tie,tje->tij", grads, grads) * mesh.triangle_areas()[:, None, None]
+    return 0.5 * (s_loc + np.transpose(s_loc, (0, 2, 1)))
+
+
 def assemble_p1(mesh):
     """Stiffness and mass matrices of the conforming P1 space, (n, n) csr."""
     n = mesh.num_vertices
     tris = mesh.triangles
-    areas = mesh.triangle_areas()
-    grads = p1_gradients(mesh)
-    s_loc = np.einsum("tie,tje->tij", grads, grads) * areas[:, None, None]
-    s_loc = 0.5 * (s_loc + np.transpose(s_loc, (0, 2, 1)))
-    m_loc = _P1_MASS_BLOCK[None, :, :] * areas[:, None, None]
-    rows = np.repeat(tris, 3, axis=1)
-    cols = np.tile(tris, (1, 3))
-    stiffness = scatter_csr(rows, cols, s_loc, (n, n))
-    mass = scatter_csr(rows, cols, m_loc, (n, n))
+    m_loc = _P1_MASS_BLOCK[None, :, :] * mesh.triangle_areas()[:, None, None]
+    stiffness = scatter_blocks(tris, tris, p1_stiffness_blocks(mesh), (n, n))
+    mass = scatter_blocks(tris, tris, m_loc, (n, n))
     return stiffness, mass
 
 
 def boundary_normals(mesh):
     """Outward unit normals of the boundary edges, in loop order."""
     d = mesh.vertices[mesh.boundary_edges[:, 1]] - mesh.vertices[mesh.boundary_edges[:, 0]]
-    lengths = np.hypot(d[:, 0], d[:, 1])
-    return np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+    return np.column_stack([d[:, 1], -d[:, 0]]) / mesh.boundary_edge_lengths()[:, None]
 
 
 def _orientation(a, b):
@@ -159,18 +166,14 @@ def assemble_boundary(mesh):
     s = 2 * len(edges)
     slots = np.arange(s).reshape(-1, 2)
     blocks = mesh.boundary_edge_lengths()[:, None, None] * _EDGE_MASS_BLOCK
-
-    def block_scatter(rows, cols, shape):
-        return scatter_csr(np.repeat(rows, 2, axis=1), np.tile(cols, (1, 2)), blocks, shape)
-
     # where the loop runs against the global edge orientation, the
     # min-vertex dof reads the slot of b and the normal flips sign
     forward = _orientation(edges[:, 0], edges[:, 1])
     read = np.where(forward[:, None] > 0, slots, slots[:, ::-1])
     return BoundaryOperators(
-        boundary_coupling=block_scatter(edges, slots, (n, s)),
-        boundary_mass=block_scatter(slots, slots, (s, s)),
-        vertex_boundary_mass=block_scatter(edges, edges, (n, n)),
+        boundary_coupling=scatter_blocks(edges, slots, blocks, (n, s)),
+        boundary_mass=scatter_blocks(slots, slots, blocks, (s, s)),
+        vertex_boundary_mass=scatter_blocks(edges, edges, blocks, (n, n)),
         trace_map=scatter_csr(slots, read, np.repeat(forward, 2), (s, s)),
     )
 
@@ -368,10 +371,9 @@ def assemble_broken(mesh):
     m = 3 * nt
     areas = mesh.triangle_areas()
     blocks = _P1_MASS_BLOCK[None, :, :] * areas[:, None, None]
-    broken_ids = (3 * np.arange(nt))[:, None] + np.arange(3)[None, :]
-    rows = np.repeat(broken_ids, 3, axis=1)
-    broken_mass = scatter_csr(rows, np.tile(broken_ids, (1, 3)), blocks, (m, m))
-    broken_coupling = scatter_csr(rows, np.tile(mesh.triangles, (1, 3)), blocks, (m, n))
+    broken_ids = np.arange(m).reshape(nt, 3)
+    broken_mass = scatter_blocks(broken_ids, broken_ids, blocks, (m, m))
+    broken_coupling = scatter_blocks(broken_ids, mesh.triangles, blocks, (m, n))
     moments = np.repeat(areas / 3.0, 3)
     return broken_mass, broken_coupling, moments
 
@@ -428,13 +430,12 @@ class AssembledSystem:
     @functools.cached_property
     def rt_mass(self):
         el, p = self.rt_elements, self.dofs.dim_rt
-        rows, cols = np.repeat(el.gdofs, 8, axis=1), np.tile(el.gdofs, (1, 8))
-        return scatter_csr(rows, cols, el.mass, (p, p))
+        return scatter_blocks(el.gdofs, el.gdofs, el.mass, (p, p))
 
     @functools.cached_property
     def div_coupling(self):
         el, m, p = self.rt_elements, self.dofs.dim_broken, self.dofs.dim_rt
-        return scatter_csr(np.repeat(np.arange(m), 8), np.tile(el.gdofs, (1, 3)), el.div, (m, p))
+        return scatter_blocks(np.arange(m).reshape(-1, 3), el.gdofs, el.div, (m, p))
 
     @functools.cached_property
     def _evaluation(self):

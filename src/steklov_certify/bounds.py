@@ -142,9 +142,11 @@ def load_references(path):
     table = {}
     for key, entry in doc.items():
         values = entry.get("values") if isinstance(entry, dict) else None
+        # JSON numbers only: float() would also read "0.24" and true
+        numbers = isinstance(values, list) and all(type(v) in (int, float) for v in values)
         try:
-            floats = [float(v) for v in values] if isinstance(values, list) else None
-        except (TypeError, ValueError, OverflowError):
+            floats = [float(v) for v in values] if numbers else None
+        except OverflowError:
             floats = None
         if not floats or not np.all(np.isfinite(floats)):
             raise ValueError(f'{path}: entry {key!r} needs a nonempty finite list as "values"')

@@ -67,7 +67,7 @@ from .assembly import (
     coefficients_of,
     rt_divergence_vertex_values,
     rt_values_at_quadrature,
-    scatter_csr,
+    scatter_blocks,
 )
 from .linalg import (
     _RANK_TOL,
@@ -159,20 +159,13 @@ class EquilibrationSolver:
         # audit builds the system's cached copy
         inv, edge_dof, sign, broken = _local_inverse(dofs, assemble_rt_elements(mesh, dofs))
         edge_block = inv[:, :6, :6] * sign[:, :, None] * sign[:, None, :]
-        schur = scatter_csr(
-            np.repeat(edge_dof, 6, axis=1),
-            np.tile(edge_dof, (1, 6)),
-            0.5 * (edge_block + np.swapaxes(edge_block, 1, 2)),
-            (n_edge, n_edge),
-        )
+        edge_block = 0.5 * (edge_block + np.swapaxes(edge_block, 1, 2))
+        schur = scatter_blocks(edge_dof, edge_dof, edge_block, (n_edge, n_edge))
         # edge right-hand side per element load; its negated transpose
         # gives the broken multiplier per edge multiplier
-        rows, cols = np.broadcast_arrays(edge_dof[:, :, None], broken[:, None, :])
         load_block = sign[:, :, None] * inv[:, :6, 8:]
-        self._load_to_edge = scatter_csr(rows, cols, load_block, (n_edge, m))
-        self._lam_of_load = scatter_csr(
-            np.repeat(broken, 3, axis=1), np.tile(broken, (1, 3)), inv[:, 8:, 8:], (m, m)
-        )
+        self._load_to_edge = scatter_blocks(edge_dof, broken, load_block, (n_edge, m))
+        self._lam_of_load = scatter_blocks(broken, broken, inv[:, 8:, 8:], (m, m))
         del inv, edge_block, load_block
 
         # outward normal traces of the boundary edges: the trace map's
@@ -247,8 +240,8 @@ class EquilibrationSolver:
         n_edge, width = self._load_to_edge.shape[0], sum(self._load_to_edge.shape)
         count = np.bincount(el.gdofs.ravel(), minlength=dofs.dim_rt)
         flux_cols = np.concatenate([edge_dof, n_edge + broken], axis=1)
-        rows, cols = np.broadcast_arrays(el.gdofs[:, :, None], flux_cols[:, None, :])
-        return scatter_csr(rows, cols, stack / count[rows], (count.size, width))
+        stack /= count[el.gdofs][:, :, None]
+        return scatter_blocks(el.gdofs, flux_cols, stack, (count.size, width))
 
     def solve_neumann(self, data):
         """Conforming solution for trace-space boundary data."""
@@ -390,7 +383,9 @@ class EquilibrationSolver:
             )
 
         starts = range(0, half, _BLOCK)
-        columns = [basis[:, i : i + _BLOCK] for i in starts] + [basis[:, half : half + width]]
+        # the last G_A block stops at half, short when _BLOCK does not divide it
+        columns = [basis[:, i : min(i + _BLOCK, half)] for i in starts]
+        columns.append(basis[:, half : half + width])
         outputs = [quad_a[:, i : i + _BLOCK] for i in starts] + [check]
         with ThreadPoolExecutor(min(_WORKERS, len(columns))) as pool:
             # map re-raises a block's error and cancels the pending blocks

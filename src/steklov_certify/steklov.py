@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_boundary, assemble_p1, build_dof_maps, p1_gradients, scatter_csr
+from .assembly import (
+    assemble_boundary,
+    assemble_p1,
+    build_dof_maps,
+    p1_stiffness_blocks,
+    scatter_blocks,
+    scatter_csr,
+)
 from .linalg import general_sym_eig
 
 __all__ = [
@@ -98,30 +105,23 @@ def assemble_cr(mesh):
 
     Dofs sit at edge midpoints (one per edge of the dof map ordering).
     The basis function of edge e on a triangle is 1 - 2*hat_i with hat_i
-    the vertex hat opposite e, so the element stiffness is four times the
-    P1 one and the element mass is diagonal.  The boundary form uses the
+    the vertex hat opposite e, so the element stiffness is the P1 element
+    stiffness times four and the element mass is diagonal.  The boundary form uses the
     exact edgewise integrals of the traces, which are linear per edge.
     """
     dofs = build_dof_maps(mesh)
     ne = len(dofs.edges)
-    tris = mesh.triangles
     areas = mesh.triangle_areas()
 
     # edge_of[t, i] is the edge opposite local vertex i
     edge_of = dofs.tri_edges[:, [1, 2, 0]]
-
-    grads = p1_gradients(mesh)
-    s_loc = 4.0 * np.einsum("tie,tje->tij", grads, grads) * areas[:, None, None]
-    s_loc = 0.5 * (s_loc + np.transpose(s_loc, (0, 2, 1)))
-    rows = np.repeat(edge_of, 3, axis=1)
-    cols = np.tile(edge_of, (1, 3))
-    stiffness = scatter_csr(rows, cols, s_loc, (ne, ne))
+    stiffness = scatter_blocks(edge_of, edge_of, 4.0 * p1_stiffness_blocks(mesh), (ne, ne))
     mass = scatter_csr(edge_of, edge_of, np.repeat(areas / 3.0, 3), (ne, ne))
 
     # traces[j, p, i]: the CR basis function opposite local vertex i of
     # the triangle owning boundary edge j, at endpoint p of that edge;
     # -1 where the endpoint is vertex i itself, +1 otherwise
-    owner = tris[mesh.boundary_triangles]
+    owner = mesh.triangles[mesh.boundary_triangles]
     traces = 1.0 - 2.0 * (owner[:, None, :] == mesh.boundary_edges[:, :, None])
     lengths = mesh.boundary_edge_lengths()
     # integer weights keep each block an exact multiple of |e| / 6
@@ -130,9 +130,7 @@ def assemble_cr(mesh):
         "jpi,pq,jqk->jik", traces, edge_mass, traces
     )
     b_edges = edge_of[mesh.boundary_triangles]
-    boundary_form = scatter_csr(
-        np.repeat(b_edges, 3, axis=1), np.tile(b_edges, (1, 3)), blocks, (ne, ne)
-    )
+    boundary_form = scatter_blocks(b_edges, b_edges, blocks, (ne, ne))
     return stiffness, mass, boundary_form, dofs
 
 

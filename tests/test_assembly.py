@@ -19,6 +19,7 @@ from steklov_certify.assembly import (
     p1_gradients,
     project_boundary,
     rt_values_at_quadrature,
+    scatter_blocks,
 )
 from steklov_certify.mesh import Mesh, MeshError, uniform_lshape_mesh, uniform_square_mesh
 
@@ -117,6 +118,25 @@ def test_assembly_element_order_independent():
     s1, m1 = assemble_p1(permuted)
     assert np.allclose(s0.toarray(), s1.toarray(), rtol=1e-13, atol=1e-16)
     assert np.allclose(m0.toarray(), m1.toarray(), rtol=1e-13, atol=1e-16)
+
+
+@pytest.mark.parametrize("nt,r,c", [(5, 6, 3), (4, 3, 3), (0, 6, 3)])
+def test_scatter_blocks_matches_dense_add_at(nt, r, c):
+    """scatter_blocks sums each block at its rows and columns, rectangular
+    blocks and dofs repeated across elements included, like np.add.at on
+    a dense matrix; an empty stack gives the zero matrix."""
+    rng = np.random.default_rng(3)
+    shape = (7, 6)
+    rows = rng.integers(0, shape[0], size=(nt, r))
+    cols = rng.integers(0, shape[1], size=(nt, c))
+    blocks = rng.standard_normal((nt, r, c))
+    dense = np.zeros(shape)
+    np.add.at(dense, (rows[:, :, None], cols[:, None, :]), blocks)
+    got = scatter_blocks(rows, cols, blocks, shape)
+    assert got.format == "csr" and got.shape == shape
+    assert np.allclose(got.toarray(), dense, rtol=1e-15, atol=1e-15)
+    if nt:
+        assert np.unique(rows).size < rows.size and np.unique(cols).size < cols.size
 
 
 def test_assembled_matrices_exactly_symmetric(system_square2):

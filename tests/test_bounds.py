@@ -356,3 +356,14 @@ def test_load_references_roundtrip(tmp_path):
     path.write_text(json.dumps(doc))
     table = load_references(path)
     assert table == {"unit_square": [0.24, 1.49], "other": [1.0]}
+
+
+@pytest.mark.parametrize("value", ['"0.24"', "true", "false"])
+def test_load_references_accepts_only_json_numbers(tmp_path, value):
+    """A string or a boolean among the values is an error naming the file
+    and the entry, not a number that float() reads from it."""
+    path = tmp_path / "refs.json"
+    path.write_text('{"unit_square": {"values": [0.24, %s, 5]}}' % value)
+    with pytest.raises(ValueError, match="'unit_square'") as err:
+        load_references(path)
+    assert str(path) in str(err.value)

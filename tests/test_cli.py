@@ -121,6 +121,17 @@ def test_bounds_cr_method(capsys):
     assert row["dof"] == "56"  # one dof per edge
 
 
+def test_bounds_odd_square_certifies(capsys):
+    """Square n = 3 has s/2 = 12 boundary vertices, which kappa's 8-column
+    blocks do not divide: both methods certify and enclose the reference."""
+    code, out, err = _run(["bounds", "--domain", "square", "--n", "3", "--method", "both"], capsys)
+    assert (code, err) == (0, "")
+    conforming, cr = _parse_csv(out)
+    assert (conforming["method"], cr["method"]) == ("conforming", "cr")
+    assert float(conforming["lower_1"]) <= 0.240079 <= float(conforming["lambda_1"])
+    assert float(cr["lower_1"]) <= 0.240079
+
+
 def test_bounds_deterministic_output(tmp_path, capsys):
     args = ["bounds", "--domain", "lshape", "--n", "2", "--k", "3", "--method", "both"]
     first = tmp_path / "a.csv"
@@ -189,6 +200,7 @@ def test_bounds_refs_override(tmp_path, capsys):
         ("[1, 2]", "list"),
         ('{"unit_square": {"values": 3}}', "'unit_square'"),
         ('{"unit_square": {"values": [NaN]}}', "'unit_square'"),
+        ('{"unit_square": {"values": ["0.24", true, 5]}}', "'unit_square'"),
         ('{"unit_square": {"values": []}}', "'unit_square'"),
         ('{"unit_square": ', "not valid JSON"),
         ('{"l_shape": {"values": [0.3]}}', "no entry for 'unit_square'"),

@@ -222,6 +222,17 @@ def test_constant_matches_kkt_route(gen, n):
     assert value == pytest.approx(kkt_constant(system)[0], rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_constant_with_a_short_last_block(n):
+    """On the square with odd n, _BLOCK does not divide the s/2 = 4n
+    solved columns: the last block stops at s/2, and kappa is the KKT
+    route's."""
+    system = assemble_system(uniform_square_mesh(n))
+    assert (system.dofs.dim_trace // 2) % hypercircle._BLOCK != 0
+    value = EquilibrationSolver(system).constant().value
+    assert value == pytest.approx(kkt_constant(system)[0], rel=1e-12)
+
+
 @pytest.mark.parametrize("gen,n", [(uniform_square_mesh, 8), (uniform_lshape_mesh, 4)])
 def test_split_form_matches_the_solved_kkt_form(gen, n):
     """The form assembled from s/2 solved columns and the boundary Schur
