@@ -19,9 +19,9 @@ All assembled integrands are polynomials of degree at most four; the
 six-point triangle rule below is exact for them.  Element matrices are
 symmetrized before scattering, so assembled matrices are exactly
 symmetric.  An assembled system keeps what a certificate reads.  What
-only the per-datum flux audit or --dump-matrices reads, the flux
-element data and matrices and the sparse maps that evaluate fluxes and
-P1 gradients, it builds on first use and caches.  Everything here is
+only the per-datum flux audit or --dump-matrices reads, the broken mass
+matrix, the flux element data and matrices and the sparse maps that
+evaluate fluxes and P1 gradients, it builds on first use and caches.  Everything here is
 pure, and the cache is a pure function of the system: meshes and
 systems can be shared across threads.
 """
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, boundary_local_edges, edge_table
+from .mesh import Mesh, boundary_local_edges
 
 __all__ = [
     "AssembledSystem",
@@ -88,15 +88,10 @@ def edge_gauss_rule(n):
 def p1_gradients(mesh):
     """Gradients of the three vertex hat functions per triangle, (nt, 3, 2)."""
     p = mesh.vertices[mesh.triangles]
-    areas = mesh.triangle_areas()
-    # grad of hat i is perpendicular to the opposite edge, scaled by 1/(2A)
-    b = np.stack(
-        [p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1], p[:, 0, 1] - p[:, 1, 1]], axis=1
-    )
-    c = np.stack(
-        [p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0], p[:, 1, 0] - p[:, 0, 0]], axis=1
-    )
-    return np.stack([b, c], axis=2) / (2.0 * areas)[:, None, None]
+    # grad of hat i is the opposite edge p_{i+2} - p_{i+1} turned a right
+    # angle counterclockwise, towards vertex i, scaled by 1/(2A)
+    e = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
+    return np.stack([-e[..., 1], e[..., 0]], axis=2) / (2.0 * mesh.triangle_areas())[:, None, None]
 
 
 def scatter_csr(rows, cols, data, shape):
@@ -119,13 +114,17 @@ def p1_stiffness_blocks(mesh):
     return 0.5 * (s_loc + np.transpose(s_loc, (0, 2, 1)))
 
 
+def _p1_mass_blocks(mesh):
+    """Element mass matrices of the P1 hats, (nt, 3, 3)."""
+    return _P1_MASS_BLOCK[None, :, :] * mesh.triangle_areas()[:, None, None]
+
+
 def assemble_p1(mesh):
     """Stiffness and mass matrices of the conforming P1 space, (n, n) csr."""
     n = mesh.num_vertices
     tris = mesh.triangles
-    m_loc = _P1_MASS_BLOCK[None, :, :] * mesh.triangle_areas()[:, None, None]
     stiffness = scatter_blocks(tris, tris, p1_stiffness_blocks(mesh), (n, n))
-    mass = scatter_blocks(tris, tris, m_loc, (n, n))
+    mass = scatter_blocks(tris, tris, _p1_mass_blocks(mesh), (n, n))
     return stiffness, mass
 
 
@@ -213,8 +212,7 @@ def build_dof_maps(mesh):
     nt = mesh.num_triangles
     nb = mesh.num_boundary_edges
     tris = mesh.triangles
-    table = edge_table(tris)
-    edges, tri_edges = table.edges, table.tri_edges
+    edges, tri_edges = mesh.edge_table.edges, mesh.edge_table.tri_edges
     boundary_edge_index = tri_edges[mesh.boundary_triangles, boundary_local_edges(mesh)]
     edge_is_boundary = np.zeros(len(edges), dtype=bool)
     edge_is_boundary[boundary_edge_index] = True
@@ -364,33 +362,20 @@ def _rows(blocks, cols, width):
     return sp.csr_matrix((blocks.ravel(), indices, indptr), shape=(len(indptr) - 1, width))
 
 
-def assemble_broken(mesh):
-    """Broken P1 mass, coupling with the conforming space, and moments."""
-    nt = mesh.num_triangles
-    n = mesh.num_vertices
-    m = 3 * nt
-    areas = mesh.triangle_areas()
-    blocks = _P1_MASS_BLOCK[None, :, :] * areas[:, None, None]
-    broken_ids = np.arange(m).reshape(nt, 3)
-    broken_mass = scatter_blocks(broken_ids, broken_ids, blocks, (m, m))
-    broken_coupling = scatter_blocks(broken_ids, mesh.triangles, blocks, (m, n))
-    moments = np.repeat(areas / 3.0, 3)
-    return broken_mass, broken_coupling, moments
-
-
 @dataclass(frozen=True)
 class AssembledSystem:
     """All operators of one mesh, in a fixed deterministic dof order.
 
     Every matrix is stored once, as csr; only broken_moments is a
     vector.  The boundary operators are those of BoundaryOperators.
-    The certificate reads every field but broken_mass: stiffness, mass
-    and vertex_boundary_mass make the conforming pencil, and stiffness +
+    The certificate reads every field: stiffness, mass and
+    vertex_boundary_mass make the conforming pencil, and stiffness +
     mass, the boundary operators and the broken coupling and moments the
-    projection constant.  broken_mass serves the audit's divergence gap,
-    and --dump-matrices writes every matrix.
+    projection constant.  --dump-matrices writes every matrix.
 
-    The flux space lives in cached properties, built on first use.  The
+    The broken mass matrix broken_mass (dim_broken, dim_broken), which
+    only the audit's divergence gap and --dump-matrices read, and the
+    flux space live in cached properties, built on first use.  The
     flux solver assembles its own element data, so a certified level
     builds none of them.  The audit reads the element data rt_elements
     and the flux mass matrix rt_mass (p, p), p = dofs.dim_rt; only
@@ -409,7 +394,6 @@ class AssembledSystem:
     boundary_mass: sp.csr_matrix
     vertex_boundary_mass: sp.csr_matrix
     trace_map: sp.csr_matrix
-    broken_mass: sp.csr_matrix
     broken_coupling: sp.csr_matrix
     broken_moments: np.ndarray
 
@@ -421,6 +405,12 @@ class AssembledSystem:
         """L2 boundary norm of a trace-space function."""
         g = np.asarray(g)
         return float(np.sqrt(max(g @ (self.boundary_mass @ g), 0.0)))
+
+    @functools.cached_property
+    def broken_mass(self):
+        m = self.dofs.dim_broken
+        ids = np.arange(m).reshape(-1, 3)
+        return scatter_blocks(ids, ids, _p1_mass_blocks(self.mesh), (m, m))
 
     @functools.cached_property
     def rt_elements(self):
@@ -461,20 +451,17 @@ def assemble_system(mesh):
     """Assemble every operator the certification pipeline needs."""
     dofs = build_dof_maps(mesh)
     stiffness, mass = assemble_p1(mesh)
-    boundary = assemble_boundary(mesh)
-    broken_mass, broken_coupling, moments = assemble_broken(mesh)
+    m, n = dofs.dim_broken, dofs.dim_p1
     return AssembledSystem(
         mesh=mesh,
         dofs=dofs,
         stiffness=stiffness,
         mass=mass,
-        boundary_coupling=boundary.boundary_coupling,
-        boundary_mass=boundary.boundary_mass,
-        vertex_boundary_mass=boundary.vertex_boundary_mass,
-        trace_map=boundary.trace_map,
-        broken_mass=broken_mass,
-        broken_coupling=broken_coupling,
-        broken_moments=moments,
+        **vars(assemble_boundary(mesh)),
+        broken_coupling=scatter_blocks(
+            np.arange(m).reshape(-1, 3), mesh.triangles, _p1_mass_blocks(mesh), (m, n)
+        ),
+        broken_moments=np.repeat(mesh.triangle_areas() / 3.0, 3),
     )
 
 

@@ -26,14 +26,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import bounds as bnd
-from .assembly import AssembledSystem, assemble_system
+from .assembly import assemble_system
 from .hypercircle import EquilibrationSolver
 from .linalg import LinearAlgebraError
 from .mesh import MeshError, read_mesh, uniform_lshape_mesh, uniform_square_mesh, write_mesh
@@ -51,6 +51,10 @@ __all__ = [
 _DOMAIN_FLAGS = {"square": "unit_square", "lshape": "l_shape"}
 _GENERATORS = {"square": uniform_square_mesh, "lshape": uniform_lshape_mesh}
 _METHODS = {"conforming": ("conforming",), "cr": ("cr",), "both": ("conforming", "cr")}
+# what --dump-matrices writes, one file each: every matrix of the system
+_DUMPED = ("stiffness", "mass", "boundary_coupling", "boundary_mass", "vertex_boundary_mass",
+           "trace_map", "broken_mass", "broken_coupling", "broken_moments", "rt_mass",
+           "div_coupling")
 
 
 class UsageError(ValueError):
@@ -92,11 +96,9 @@ def certify_level(mesh, k, methods, references, n=None, dump_dir=None):
         values = [float(v) for v in spectrum.values]
         errors = total = None
         if refs is not None:
-            errors = [
-                abs(values[i] - refs[i]) if i < len(refs) else None for i in range(len(values))
-            ]
-            known = [e for e in errors if e is not None]
-            total = sum(known) if known else None
+            errors = [abs(v - r) for v, r in zip(values, refs)]
+            total = sum(errors) if errors else None
+            errors += [None] * (len(values) - len(errors))
         return LevelResult(
             domain=mesh.domain,
             method=method,
@@ -135,24 +137,17 @@ def convergence_orders(levels, references):
     |lam_h - lam| and of the lower bound error |lam - lower|, computed
     from consecutive (h, error) pairs.  None where references are missing.
     """
+    def order(before, after, ratio):
+        return float(np.log(before / after) / ratio) if min(before, after) > 0 else None
+
     orders = []
     for prev, cur in zip(levels, levels[1:]):
-        entry = {"upper": [], "lower": []}
-        for i, _ in enumerate(cur.eigenvalues):
-            if references is None or i >= len(references):
-                entry["upper"].append(None)
-                entry["lower"].append(None)
-                continue
-            lam = references[i]
-            ratio = np.log(prev.h / cur.h)
-            e_up = (abs(prev.eigenvalues[i] - lam), abs(cur.eigenvalues[i] - lam))
-            e_lo = (abs(lam - prev.lower_bounds[i]), abs(lam - cur.lower_bounds[i]))
-            entry["upper"].append(
-                float(np.log(e_up[0] / e_up[1]) / ratio) if min(e_up) > 0 else None
-            )
-            entry["lower"].append(
-                float(np.log(e_lo[0] / e_lo[1]) / ratio) if min(e_lo) > 0 else None
-            )
+        ratio = np.log(prev.h / cur.h)
+        entry = {"upper": [None] * len(cur.eigenvalues), "lower": [None] * len(cur.eigenvalues)}
+        for i, lam in enumerate((references or [])[: len(cur.eigenvalues)]):
+            up = (abs(prev.eigenvalues[i] - lam), abs(cur.eigenvalues[i] - lam))
+            lo = (abs(lam - prev.lower_bounds[i]), abs(lam - cur.lower_bounds[i]))
+            entry["upper"][i], entry["lower"][i] = order(*up, ratio), order(*lo, ratio)
         orders.append(entry)
     return orders
 
@@ -252,13 +247,9 @@ def _dump_matrices(system, directory):
     column, as (row, col, value) triplet files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name in [field.name for field in fields(AssembledSystem)] + ["rt_mass", "div_coupling"]:
+    for name in _DUMPED:
         matrix = getattr(system, name)
-        if name == "broken_moments":
-            matrix = matrix[:, None]
-        elif not sp.issparse(matrix):
-            continue
-        coo = sp.coo_matrix(matrix)
+        coo = sp.coo_matrix(matrix[:, None] if name == "broken_moments" else matrix)
         order = np.lexsort((coo.col, coo.row))
         np.savetxt(
             directory / f"{name}.txt", np.column_stack([coo.row, coo.col, coo.data])[order],

@@ -410,12 +410,11 @@ class EquilibrationSolver:
             raise LinearAlgebraError(f"error quadratic form asymmetry {asym / norm:.3e}")
         quad = 0.5 * (quad + quad.T)
         # the top pair of Q x = kappa^2 G x, G = L L^T the trace Gram
-        # matrix: the top pair (mu, y) of L^{-1} Q L^{-T} gives
-        # kappa^2 = mu and the G-normalized maximizer x = L^{-T} y
+        # matrix: the top pair (mu, y) of L^{-1} Q L^{-T}, one dsygst
+        # on a copy of Q's lower triangle, gives kappa^2 = mu and the
+        # G-normalized maximizer x = L^{-T} y
         root_g = sla.cholesky(sysm.boundary_mass.toarray(), lower=True, check_finite=False)
-        reduced = sla.blas.dtrsm(1.0, root_g, quad, lower=1)
-        reduced = sla.blas.dtrsm(1.0, root_g, reduced, side=1, lower=1, trans_a=1, overwrite_b=1)
-        mu, top = _top_eigenpairs(reduced)
+        mu, top = _top_eigenpairs(sla.lapack.dsygst(quad, root_g, itype=1, lower=1)[0])
         maximizer = sla.blas.dtrsm(1.0, root_g, top(1), lower=1, trans_a=1)
         value = float(np.sqrt(max(mu[-1], 0.0)))
         return ProjectionConstant(value, BoundaryField(maximizer[:, 0]), quad)

@@ -25,12 +25,13 @@ symmetric indefinite matrix, is not used by the certification pipeline;
 it solves the unhybridized flux KKT system that the test suite keeps as
 an oracle, and perfbench traces it.  The only dense matrices are
 |support| x |support|, the size of the boundary dofs: the triangular
-factor C of S = C C^T and the reduced pencil.  That pencil's eigenpairs
-come from _top_eigenpairs: one Householder tridiagonalization, every
+factor C of S = C C^T and the reduced pencil, which one dsygst (the
+reduction step of LAPACK's xSYGV) forms.  Its eigenpairs come from
+_top_eigenpairs: one Householder tridiagonalization, every
 eigenvalue from it, and inverse iteration for the selected eigenvectors
 only, so no |support| x |support| matrix of eigenvectors is formed.  The
-projection constant of the flux equilibration takes its top pair from
-the same helper.
+projection constant of the flux equilibration reduces its pencil and
+takes its top pair the same way.
 A factor whose matrix another factor has already proven positive
 definite skips the pivot read, so scipy keeps no CSC copies of its L
 and U.
@@ -43,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
@@ -60,6 +60,9 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-10
 _RANK_TOL = 1e-12
+# each of the 406 pencil matrices of the test suite is exactly symmetric;
+# 1e-14 of the largest entry leaves room for a pencil formed by products
+_SYMMETRY_TOL = 1e-14
 # right-hand sides per SuperLU call: its triangular solves slow down per
 # column on wide blocks, and every column's result is independent of
 # the block it is solved in
@@ -88,8 +91,8 @@ def _column_norms(m):
     return np.sqrt(np.einsum("ij,ij->j", m, m))
 
 
-def _quadratic_forms(m, x):
-    """v^T m v for each column v of x, m symmetric and sparse.
+def _quadratic_form(m):
+    """The map x -> v^T m v for each column v of x, m symmetric and sparse.
 
     Summed as sum_i r_i v_i^2 - 1/2 sum_{i != j} m_ij (v_i - v_j)^2, with
     r the row sums of m, which _row_sums keeps accurate.  For a smooth v
@@ -97,17 +100,21 @@ def _quadratic_forms(m, x):
     are exact, so this sum has none of the cancellation of v @ (m @ v).
     On the first eigenvector of either pencil at square n = 64 that
     product was up to 1.2e-13 relative off an extended-precision sum,
-    this one 4e-16.  Each column is summed by itself, the same way for
-    any width of x.
+    this one 4e-16.  m is split and row-summed once, when the map is
+    made; each column is summed by itself, the same way for any width.
     """
     m = sp.coo_matrix(m)
     off = m.row != m.col
     rows, cols, entries = m.row[off], m.col[off], m.data[off]
     row_sums = _row_sums(m)
-    forms = np.empty(x.shape[1])
-    for j, v in enumerate(x.T):
-        d = v[rows] - v[cols]
-        forms[j] = np.sum(row_sums * v * v) - 0.5 * np.sum(entries * d * d)
+
+    def forms(x):
+        out = np.empty(x.shape[1])
+        for j, v in enumerate(x.T):
+            d = v[rows] - v[cols]
+            out[j] = np.sum(row_sums * v * v) - 0.5 * np.sum(entries * d * d)
+        return out
+
     return forms
 
 
@@ -127,6 +134,16 @@ def _row_sums(m):
         )
         total = new
     return total + carry
+
+
+def _symmetric_csr(m, name):
+    """m as a float csr matrix; ValueError naming it unless no entry of
+    m - m^T exceeds _SYMMETRY_TOL times the largest entry of m."""
+    m = sp.csr_matrix(m, dtype=float)
+    gap, scale = abs(m - m.T).max(), abs(m).max()
+    if not gap <= _SYMMETRY_TOL * scale:
+        raise ValueError(f"{name} is not symmetric: asymmetry {gap:.3e}, largest entry {scale:.3e}")
+    return m
 
 
 def _mmd_order(m):
@@ -392,9 +409,10 @@ def general_sym_eig(a, b, k=None):
     S is never formed column by column: one symmetric factorization of
     a with the support dofs last holds S = C C^T in its trailing block
     (_trailing_root, which also checks the inertia and names the block,
-    interior or Schur complement, that is not positive definite).  Two
-    triangular solves with C turn the pencil into a standard symmetric
-    eigenproblem of size |support|.  _top_eigenpairs gives all its
+    interior or Schur complement, that is not positive definite).  One
+    dsygst with C turns the pencil into a standard symmetric eigenproblem
+    of size |support|; it reads one triangle of b_bb, so an asymmetric a
+    or b is a ValueError up front.  _top_eigenpairs gives all its
     eigenvalues, which count the finite ones, and only the eigenvectors
     y of the k largest, those of the k selected pairs.  They are taken
     back to all dofs by one solve of the whole factor with C y on the
@@ -404,7 +422,7 @@ def general_sym_eig(a, b, k=None):
 
     Each returned value is the Rayleigh quotient of its returned,
     b-normalized vector, summed free of cancellation by
-    _quadratic_forms, and each pair must satisfy
+    _quadratic_form, and each pair must satisfy
     ||a x - lambda b x|| <= 1e-10 ||a x||, or LinearAlgebraError is
     raised.  The first k vectors of _top_eigenpairs do not depend on how
     many more are requested, and every later step is per column, so the
@@ -412,26 +430,23 @@ def general_sym_eig(a, b, k=None):
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    b_sp = sp.csr_matrix(b)
-    b_sp.eliminate_zeros()
+    a_sp, b_sp = _symmetric_csr(a, "a"), _symmetric_csr(b, "b")
     n = b_sp.shape[0]
-    support = np.unique(b_sp.indices) if b_sp.nnz else np.array([], dtype=np.int64)
+    # b_sp may share its arrays with the caller's b: read, do not prune
+    support = np.unique(b_sp.indices[b_sp.data != 0.0])
     if support.size == 0:
         raise LinearAlgebraError("b is zero: the pencil has no finite eigenvalues")
 
-    a_sp = sp.csr_matrix(a, dtype=float)
     factor, order, root = _trailing_root(a_sp, support)
     m = support.size
-    c = root.toarray(order="F")
     # b_bb w = mu C C^T w becomes reduced y = mu y with y = C^T w.  The
-    # triangular solves overwrite their right-hand side and the
-    # tridiagonalization its input (reading one triangle); c goes before
-    # it, and only the contiguous copy of its reflectors that the
-    # back-transformation makes joins it, so at most two m x m blocks
-    # are alive at once
+    # reduction overwrites b_bb and the tridiagonalization its input;
+    # c goes before it, and only the contiguous copy of its reflectors
+    # that the back-transformation makes joins it, so at most two m x m
+    # blocks are alive at once
+    c = root.toarray(order="F")
     b_bb = b_sp[support][:, support].toarray(order="F")
-    reduced = sla.blas.dtrsm(1.0, c, b_bb, lower=1, overwrite_b=1)
-    reduced = sla.blas.dtrsm(1.0, c, reduced, side=1, lower=1, trans_a=1, overwrite_b=1)
+    reduced = lapack.dsygst(b_bb, c, itype=1, lower=1, overwrite_a=1)[0]
     del c
     mu, top = _top_eigenpairs(reduced)
     mu_max = mu[-1]
@@ -450,7 +465,8 @@ def general_sym_eig(a, b, k=None):
     x_p += factor.solve(rhs - factor._a @ x_p)
     vectors = np.empty((n, k), order="F")
     vectors[order] = x_p
-    vectors /= np.sqrt(_quadratic_forms(b_sp, vectors))
-    values = _quadratic_forms(a_sp, vectors) / _quadratic_forms(b_sp, vectors)
+    b_form = _quadratic_form(b_sp)
+    vectors /= np.sqrt(b_form(vectors))
+    values = _quadratic_form(a_sp)(vectors) / b_form(vectors)
     _check_residual(lambda v: (b_sp @ v) * values, vectors, a_sp @ vectors, "eigenpair check")
     return EigenResult(values, vectors, n_finite, support)

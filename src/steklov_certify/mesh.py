@@ -106,6 +106,9 @@ class Mesh:
     boundary_triangles : (nb,) int array
         The unique triangle containing each boundary edge; derived by the
         constructor, not passed to it.
+    edge_table : EdgeTable
+        Every edge once, kept from the constructor's checks (read-only).
+        The signed areas and per-triangle edge lengths are kept too.
     """
 
     vertices: np.ndarray
@@ -113,6 +116,9 @@ class Mesh:
     boundary_edges: np.ndarray
     domain: str = "custom"
     boundary_triangles: np.ndarray = field(init=False)
+    edge_table: EdgeTable = field(init=False, repr=False)
+    _areas: np.ndarray = field(init=False, repr=False)
+    _lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.domain not in DOMAIN_TAGS:
@@ -161,8 +167,15 @@ class Mesh:
         _reject(counts == 1, lambda e: (
             f"edge {tuple(edges[e].tolist())} lies on the boundary but is missing from boundary_edges"
         ))
-        names = ("vertices", "triangles", "boundary_edges", "boundary_triangles")
-        for name, a in zip(names, (vertices, triangles, boundary_edges, _frozen(owners, np.int64))):
+        # the edge lengths are made here: built on first use, inside the flux
+        # solver's set-up, the long-lived array raised repeated audits' peak RSS
+        ends = vertices[triangles]
+        d = np.roll(ends, -1, axis=1) - ends
+        areas.setflags(write=False)
+        kept = dict(vertices=vertices, triangles=triangles, boundary_edges=boundary_edges,
+                    boundary_triangles=_frozen(owners, np.int64), edge_table=table, _areas=areas,
+                    _lengths=_frozen(np.hypot(d[:, :, 0], d[:, :, 1]), float))
+        for name, a in kept.items():
             object.__setattr__(self, name, a)
         boundary_local_edges(self)
 
@@ -187,14 +200,12 @@ class Mesh:
         return self.boundary_edges.shape[0]
 
     def triangle_areas(self):
-        """Signed areas of all triangles (positive for valid meshes)."""
-        return _signed_areas(self.vertices, self.triangles)
+        """Signed areas of all triangles, kept from the constructor (read-only)."""
+        return self._areas
 
     def edge_lengths_per_triangle(self):
-        """(nt, 3) lengths of the local edges (v0,v1), (v1,v2), (v2,v0)."""
-        p = self.vertices[self.triangles]
-        d = np.roll(p, -1, axis=1) - p
-        return np.hypot(d[:, :, 0], d[:, :, 1])
+        """(nt, 3) lengths of the local edges (v0,v1), (v1,v2), (v2,v0), kept (read-only)."""
+        return self._lengths
 
     def boundary_edge_lengths(self):
         d = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
@@ -223,9 +234,8 @@ class ElementGeometry:
 
 def element_geometry(mesh, t):
     """Area, longest edge and per-edge heights of triangle t."""
-    p = mesh.vertices[mesh.triangles[t]]
-    area = _signed_areas(mesh.vertices, mesh.triangles[[t]])[0]
-    lengths = np.hypot(*(np.roll(p, -1, axis=0) - p).T)
+    area = mesh.triangle_areas()[t]
+    lengths = mesh.edge_lengths_per_triangle()[t]
     return ElementGeometry(
         area=float(area),
         h_max=float(lengths.max()),
@@ -264,7 +274,8 @@ class EdgeTable:
 
     edges (ne, 2) holds each edge as its (min, max) vertex pair, in
     lexicographic order; tri_edges[t, l] is the number of the edge from
-    local vertex l to local vertex l + 1 (mod 3) of triangle t.
+    local vertex l to local vertex l + 1 (mod 3) of triangle t.  Both
+    are read-only.
     """
 
     edges: np.ndarray
@@ -298,7 +309,8 @@ def edge_table(triangles):
     base = tris.max(initial=0) + 1
     pairs = np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1)
     keys, inverse = np.unique(_pair_keys(pairs, base), return_inverse=True)
-    return EdgeTable(np.column_stack(np.divmod(keys, base)), inverse.reshape(tris.shape))
+    edges = np.column_stack(np.divmod(keys, base))
+    return EdgeTable(_frozen(edges, np.int64), _frozen(inverse.reshape(tris.shape), np.int64))
 
 
 def _lattice_mesh(n, corners, domain):

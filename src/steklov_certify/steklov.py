@@ -22,7 +22,6 @@ import numpy as np
 from .assembly import (
     assemble_boundary,
     assemble_p1,
-    build_dof_maps,
     p1_stiffness_blocks,
     scatter_blocks,
     scatter_csr,
@@ -62,22 +61,16 @@ class SteklovSpectrum:
 def degenerate_groups(values):
     """Group indices for runs of eigenvalues equal up to _GROUP_RTOL."""
     values = np.asarray(values)
-    groups = np.zeros(len(values), dtype=np.int64)
-    for i in range(1, len(values)):
-        close = abs(values[i] - values[i - 1]) <= _GROUP_RTOL * max(abs(values[i]), abs(values[i - 1]))
-        groups[i] = groups[i - 1] + (0 if close else 1)
-    return groups
+    scale = _GROUP_RTOL * np.maximum(np.abs(values[1:]), np.abs(values[:-1]))
+    apart = ~(np.abs(np.diff(values)) <= scale)
+    return np.cumsum(np.concatenate([[False], apart]), dtype=np.int64)[: len(values)]
 
 
 def _fix_signs(vectors, support):
     """Flip columns so the largest-magnitude supported entry is positive."""
-    out = vectors.copy()
-    block = out[support]
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(block[:, j])))
-        if block[i, j] < 0.0:
-            out[:, j] = -out[:, j]
-    return out
+    block = vectors[support]
+    peaks = block[np.argmax(np.abs(block), axis=0), np.arange(block.shape[1])]
+    return vectors * np.where(peaks < 0.0, -1.0, 1.0)
 
 
 def pencil_spectrum(method, a, boundary_form, k):
@@ -103,18 +96,19 @@ def solve_steklov_p1(mesh, k):
 def assemble_cr(mesh):
     """Crouzeix-Raviart stiffness+mass pencil and boundary form.
 
-    Dofs sit at edge midpoints (one per edge of the dof map ordering).
-    The basis function of edge e on a triangle is 1 - 2*hat_i with hat_i
-    the vertex hat opposite e, so the element stiffness is the P1 element
-    stiffness times four and the element mass is diagonal.  The boundary form uses the
-    exact edgewise integrals of the traces, which are linear per edge.
+    Dofs sit at edge midpoints, one per edge of the mesh's edge table,
+    which is returned with the forms.  The basis function of edge e on a
+    triangle is 1 - 2*hat_i with hat_i the vertex hat opposite e, so the
+    element stiffness is the P1 element stiffness times four and the
+    element mass is diagonal.  The boundary form uses the exact edgewise
+    integrals of the traces, which are linear per edge.
     """
-    dofs = build_dof_maps(mesh)
-    ne = len(dofs.edges)
+    table = mesh.edge_table
+    ne = len(table.edges)
     areas = mesh.triangle_areas()
 
     # edge_of[t, i] is the edge opposite local vertex i
-    edge_of = dofs.tri_edges[:, [1, 2, 0]]
+    edge_of = table.tri_edges[:, [1, 2, 0]]
     stiffness = scatter_blocks(edge_of, edge_of, 4.0 * p1_stiffness_blocks(mesh), (ne, ne))
     mass = scatter_csr(edge_of, edge_of, np.repeat(areas / 3.0, 3), (ne, ne))
 
@@ -131,7 +125,7 @@ def assemble_cr(mesh):
     )
     b_edges = edge_of[mesh.boundary_triangles]
     boundary_form = scatter_blocks(b_edges, b_edges, blocks, (ne, ne))
-    return stiffness, mass, boundary_form, dofs
+    return stiffness, mass, boundary_form, table
 
 
 def solve_steklov_cr(mesh, k):

@@ -244,8 +244,9 @@ def test_trace_map_signs_follow_edge_orientation():
 
 def test_every_operator_matrix_is_sparse(system_lshape2):
     """Every matrix field of AssembledSystem and BoundaryOperators, and
-    the flux matrices that a system builds on first use, is
-    scipy.sparse; the one dense array field is the vector broken_moments."""
+    the broken mass and flux matrices that a system builds on first use,
+    is scipy.sparse; the one dense array field is the vector
+    broken_moments."""
     for record in (system_lshape2, assemble_boundary(system_lshape2.mesh)):
         for field in dataclasses.fields(record):
             value = getattr(record, field.name)
@@ -253,7 +254,7 @@ def test_every_operator_matrix_is_sparse(system_lshape2):
                 assert field.name == "broken_moments" and value.ndim == 1
             elif field.name not in ("mesh", "dofs"):
                 assert sp.issparse(value), field.name
-    for name in ("rt_mass", "div_coupling"):
+    for name in ("broken_mass", "rt_mass", "div_coupling"):
         assert sp.issparse(getattr(system_lshape2, name)), name
 
 

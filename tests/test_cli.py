@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steklov_certify import bounds
+from steklov_certify import assembly, bounds, steklov
+from steklov_certify import mesh as mesh_module
 from steklov_certify.assembly import assemble_p1
 from steklov_certify.cli import certify_level, main
-from steklov_certify.mesh import read_mesh, uniform_square_mesh
+from steklov_certify.mesh import edge_table, read_mesh, uniform_square_mesh
 
 
 def _run(argv, capsys):
@@ -403,3 +404,20 @@ def test_certify_level_computes_trace_constants_once_per_mesh(monkeypatch):
     assert sorted(calls) == ["trace_constant_bound", "trace_constant_simplified"]
     assert results[0].constants.trace_const == results[1].constants.trace_const
     assert results[0].constants.trace_simple == results[1].constants.trace_simple
+
+
+def test_certify_level_builds_no_edge_table_after_the_mesh(monkeypatch):
+    """The mesh keeps the edge table that its constructor validates
+    with, and the conforming dof maps and the CR space both number from
+    it: a level certified with both methods makes no other table."""
+    mesh = uniform_square_mesh(3)
+    calls = []
+
+    def counting(triangles):
+        calls.append(len(triangles))
+        return edge_table(triangles)
+
+    for module in (mesh_module, assembly, steklov):
+        monkeypatch.setattr(module, "edge_table", counting, raising=False)
+    certify_level(mesh, 3, ("conforming", "cr"), None)
+    assert calls == []

@@ -553,12 +553,12 @@ def _cached(obj):
 
 def test_constant_builds_no_evaluation_operators(rng):
     """constant(), all a certified table asks of the solver, builds none
-    of the flux operators of the audit: the system's element data, flux
-    matrices and evaluation maps, and the solver's flux map.  The solver
-    assembles element data of its own, so the system holds no flux data
-    at all.  One audited datum builds what it reads; div_coupling, which
-    no audit reads, stays unbuilt.  A second solver on the audited
-    system gives the same kappa."""
+    of the operators of the audit: the system's broken mass matrix,
+    element data, flux matrices and evaluation maps, and the solver's
+    flux map.  The solver assembles element data of its own, so the
+    system holds no flux data at all.  One audited datum builds what it
+    reads; div_coupling, which no audit reads, stays unbuilt.  A second
+    solver on the audited system gives the same kappa."""
     system = assemble_system(uniform_square_mesh(8))
     assert _cached(system) == set()
     solver = EquilibrationSolver(system)
@@ -569,7 +569,7 @@ def test_constant_builds_no_evaluation_operators(rng):
     flux = solver.solve_flux(g, neumann)
     solver.divergence_gap(neumann, flux)
     solver.error_norm(neumann, flux, check_routes=True)
-    assert _cached(system) == {"rt_elements", "rt_mass", "_evaluation"}
+    assert _cached(system) == {"broken_mass", "rt_elements", "rt_mass", "_evaluation"}
     assert _cached(solver) == {"_flux_map"}
     assert EquilibrationSolver(system).constant().value == kappa
 

@@ -269,7 +269,7 @@ def test_eig_computes_only_the_selected_vectors(monkeypatch):
         raise AssertionError("a dense eigh ran")
 
     monkeypatch.setattr(sla.lapack, "dstein", spying)
-    monkeypatch.setattr(linalg.sla, "eigh", dense)
+    monkeypatch.setattr(sla, "eigh", dense)
     result = general_sym_eig(a, b, k=3)
     assert result.support.size == 155
     assert len(shifts) == 1
@@ -419,6 +419,49 @@ def test_eig_full_support_pencils_match_dense_oracle(method):
     assert np.array_equal(result.support, np.arange(a.shape[0]))
     assert result.n_finite == len(expected)
     assert np.allclose(result.values, expected, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+@pytest.mark.parametrize("rel", [1e-9, 1e-6])
+def test_eig_rejects_a_non_symmetric_pencil(name, rel):
+    """The reduction reads one triangle of b, so general_sym_eig rejects
+    an asymmetric a or b up front with a ValueError naming it.  On the
+    square n = 4 pencil, one entry of b off by 1e-6 of itself used to
+    surface as an eigenpair residual error (5.8e-8), and off by 1e-9 it
+    passed unseen, moving the eigenvalues by up to 3.7e-11."""
+    pencil = dict(zip("ab", _p1_pencil(uniform_square_mesh(4))))
+    m = pencil[name].tolil()
+    m[0, 1] *= 1.0 + rel  # vertices 0 and 1 share a boundary edge
+    pencil[name] = m.tocsr()
+    with pytest.raises(ValueError, match=f"^{name} is not symmetric"):
+        general_sym_eig(pencil["a"], pencil["b"], k=3)
+
+
+def test_eig_admits_rounding_level_asymmetry():
+    """An asymmetry of one ulp, as a pencil formed by products may carry,
+    passes and moves nothing that matters; a non-square matrix is a
+    ValueError."""
+    a, b = _p1_pencil(uniform_square_mesh(4))
+    exact = general_sym_eig(a, b, k=3).values
+    b = b.tolil()
+    b[0, 1] = np.nextafter(b[0, 1], 1.0)
+    assert np.allclose(general_sym_eig(a, b.tocsr(), k=3).values, exact, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        general_sym_eig(sp.eye(2, 3, format="csr"), sp.eye(2, format="csr"), k=1)
+
+
+def test_eig_leaves_the_callers_b_untouched():
+    """An explicit zero in b is no support dof, and the caller's arrays,
+    which a csr b shares with the solver, are only read (pruning them
+    in place used to rewrite the caller's indptr, indices and data)."""
+    a = sp.csr_matrix(np.diag([2.0, 3.0, 4.0]))
+    b = sp.csr_matrix((np.array([1.0, 0.0, 1.0]), np.array([0, 1, 2]), np.array([0, 1, 2, 3])))
+    saved = [x.copy() for x in (b.indptr, b.indices, b.data)]
+    result = general_sym_eig(a, b, k=2)
+    assert np.array_equal(result.support, [0, 2]) and result.n_finite == 2
+    assert np.allclose(result.values, [2.0, 4.0], rtol=1e-14, atol=0.0)
+    for kept, now in zip(saved, (b.indptr, b.indices, b.data)):
+        assert np.array_equal(kept, now)
 
 
 def test_eig_rejects_indefinite_a_with_definite_b():

@@ -230,6 +230,27 @@ def test_roundtrip_lshape(tmp_path):
     assert back.domain == "l_shape"
 
 
+@pytest.mark.parametrize("table", ["triangle_areas", "edge_lengths_per_triangle"])
+def test_mesh_computes_its_tables_once(table):
+    """The signed areas and the per-triangle edge lengths are computed
+    once per mesh and handed out read-only."""
+    mesh = uniform_lshape_mesh(3)
+    first = getattr(mesh, table)()
+    assert getattr(mesh, table)() is first
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+
+
+def test_mesh_keeps_its_edge_table_read_only():
+    mesh = uniform_square_mesh(3)
+    fresh = edge_table(mesh.triangles)
+    for name in ("edges", "tri_edges"):
+        kept = getattr(mesh.edge_table, name)
+        assert np.array_equal(kept, getattr(fresh, name))
+        with pytest.raises(ValueError):
+            kept[0] = 0
+
+
 def test_read_builds_the_edge_table_once(tmp_path, monkeypatch):
     """read_mesh locates the boundary edges and validates the mesh with
     one edge table."""
