@@ -9,7 +9,7 @@ edge j, slot 2j+1 = value at its loop-end vertex).
 
 Raviart-Thomas dofs are, per edge, the two endpoint values of the normal
 trace (normal oriented by the global min -> max vertex convention, which
-DofMaps.tri_edge_sign records per triangle edge) and, per triangle, the
+EdgeTable.tri_edge_sign records per triangle edge) and, per triangle, the
 two componentwise mean values of the field.  Interior dofs (edge dofs of
 interior edges plus all triangle dofs) are numbered first, boundary edge
 dofs last in boundary-loop order, so the normal trace on the boundary is
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, boundary_local_edges
+from .mesh import Mesh
 
 __all__ = [
     "AssembledSystem",
@@ -134,11 +134,6 @@ def boundary_normals(mesh):
     return np.column_stack([d[:, 1], -d[:, 0]]) / mesh.boundary_edge_lengths()[:, None]
 
 
-def _orientation(a, b):
-    """+1 where edge a -> b runs from the min to the max global vertex."""
-    return np.where(a < b, 1.0, -1.0)
-
-
 @dataclass(frozen=True)
 class BoundaryOperators:
     """Boundary forms of the conforming space against the trace space,
@@ -167,7 +162,7 @@ def assemble_boundary(mesh):
     blocks = mesh.boundary_edge_lengths()[:, None, None] * _EDGE_MASS_BLOCK
     # where the loop runs against the global edge orientation, the
     # min-vertex dof reads the slot of b and the normal flips sign
-    forward = _orientation(edges[:, 0], edges[:, 1])
+    forward = mesh.edge_table.tri_edge_sign[mesh.boundary_triangles, mesh.boundary_local]
     read = np.where(forward[:, None] > 0, slots, slots[:, ::-1])
     return BoundaryOperators(
         boundary_coupling=scatter_blocks(edges, slots, blocks, (n, s)),
@@ -183,6 +178,7 @@ class DofMaps:
 
     The invariants are dim_rt_interior + dim_rt_boundary =
     2*len(edges) + 2*num_triangles and dim_rt_boundary = dim_trace.
+    tri_edges and tri_edge_sign are the mesh edge table's arrays:
     tri_edges[t, l] is the number of the edge from local vertex l to
     local vertex l + 1 (mod 3) of triangle t, and tri_edge_sign[t, l] is
     +1 where that edge runs from its global min to its max vertex (the
@@ -211,9 +207,8 @@ class DofMaps:
 def build_dof_maps(mesh):
     nt = mesh.num_triangles
     nb = mesh.num_boundary_edges
-    tris = mesh.triangles
     edges, tri_edges = mesh.edge_table.edges, mesh.edge_table.tri_edges
-    boundary_edge_index = tri_edges[mesh.boundary_triangles, boundary_local_edges(mesh)]
+    boundary_edge_index = tri_edges[mesh.boundary_triangles, mesh.boundary_local]
     edge_is_boundary = np.zeros(len(edges), dtype=bool)
     edge_is_boundary[boundary_edge_index] = True
 
@@ -236,7 +231,7 @@ def build_dof_maps(mesh):
         rt_edge_dofs=rt_edge_dofs,
         rt_tri_dofs=rt_tri_dofs,
         tri_edges=tri_edges,
-        tri_edge_sign=_orientation(tris, np.roll(tris, -1, axis=1)),
+        tri_edge_sign=mesh.edge_table.tri_edge_sign,
     )
 
 
@@ -484,11 +479,12 @@ def coefficients_of(data):
 def project_boundary(mesh, data):
     """L2-project boundary data onto the trace space, edge by edge.
 
-    data is either a callable f(points, normal) -> values, evaluated with
-    the outward unit normal of each edge, or an (nb, 2) array of endpoint
-    values taken as the trace coefficients directly.  The projection is
-    local: each edge solves its own 2x2 Gram system, so jumps at vertices
-    are allowed.  Non-finite data raises ValueError on either path.
+    data is either a callable f(points, normal) -> values, called once
+    per edge with its (q, 2) Gauss points and outward unit normal, or an
+    (nb, 2) array of endpoint values taken as the trace coefficients
+    directly.  The projection is local: each edge solves its own 2x2 Gram
+    system, so jumps at vertices are allowed.  Non-finite data raises
+    ValueError on either path.
     """
     nb = mesh.num_boundary_edges
     if not callable(data):
@@ -498,24 +494,16 @@ def project_boundary(mesh, data):
         g = g.ravel()
     else:
         snodes, sweights = edge_gauss_rule(_PROJECT_GAUSS)
+        pa, pb = mesh.vertices[mesh.boundary_edges.T]
+        points = pa[:, None, :] + snodes[:, None] * (pb - pa)[:, None, :]
         normals = boundary_normals(mesh)
-        lengths = mesh.boundary_edge_lengths()
-        g = np.empty(2 * nb)
-        inv_block = np.array([[2.0, -1.0], [-1.0, 2.0]]) * 2.0
-        for j in range(nb):
-            a, b = mesh.boundary_edges[j]
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            pts = pa[None, :] + snodes[:, None] * (pb - pa)[None, :]
-            vals = np.asarray(data(pts, normals[j]), dtype=float)
-            if vals.shape != snodes.shape:
-                raise ValueError("boundary data callable must return one value per point")
-            rhs = np.array(
-                [
-                    lengths[j] * np.sum(sweights * vals * (1.0 - snodes)),
-                    lengths[j] * np.sum(sweights * vals * snodes),
-                ]
-            )
-            g[2 * j : 2 * j + 2] = inv_block @ rhs / lengths[j]
+        vals = [np.asarray(data(pts, normal), dtype=float) for pts, normal in zip(points, normals)]
+        if any(v.shape != snodes.shape for v in vals):
+            raise ValueError("boundary data callable must return one value per point")
+        # the hat moments on [0, 1] times the inverse [[4, -2], [-2, 4]]
+        # of the unit edge Gram block: |e| cancels between the two
+        moments = np.array(vals) @ (sweights[:, None] * np.column_stack([1.0 - snodes, snodes]))
+        g = (moments @ np.array([[4.0, -2.0], [-2.0, 4.0]])).ravel()
     if not np.all(np.isfinite(g)):
         raise ValueError("boundary data produced non-finite projection coefficients")
     return BoundaryField(g)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import MeshError, boundary_local_edges
+from .mesh import MeshError
 
 __all__ = [
     "ConstantsRecord",
@@ -76,9 +76,8 @@ def _boundary_elements(mesh):
     """Area, longest edge and boundary edge length of the triangle of each
     boundary edge, three (nb,) arrays; a corner triangle comes once per edge."""
     t = mesh.boundary_triangles
-    local = boundary_local_edges(mesh)
-    lengths = mesh.edge_lengths_per_triangle()[t]
-    return mesh.triangle_areas()[t], lengths.max(axis=1), lengths[np.arange(len(t)), local]
+    h_max = mesh.edge_lengths_per_triangle()[t].max(axis=1)
+    return mesh.triangle_areas()[t], h_max, mesh.boundary_edge_lengths()
 
 
 def trace_constant_bound(mesh):

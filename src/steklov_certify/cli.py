@@ -81,7 +81,7 @@ def _h_token(n):
     return f"sqrt2/{n}" if n is not None else ""
 
 
-def certify_level(mesh, k, methods, references, n=None, dump_dir=None):
+def certify_level(mesh, k, methods, references, n=None):
     """Certified bounds for the first k eigenvalues of one mesh.
 
     methods is a subset of {"conforming", "cr"}; references is a list of
@@ -115,8 +115,6 @@ def certify_level(mesh, k, methods, references, n=None, dump_dir=None):
     results = []
     if "conforming" in methods:
         system = assemble_system(mesh)
-        if dump_dir is not None:
-            _dump_matrices(system, dump_dir)
         proj = EquilibrationSolver(system).constant()
         cert = bnd.certification_constant(trace_const, proj.value)
         spectrum = pencil_spectrum(
@@ -297,10 +295,9 @@ def _report(args, k, domain, meshes):
     else:
         references = bnd.reference_eigenvalues(domain)
     methods = _METHODS[args.method]
-    dump_dir = getattr(args, "dump_matrices", None)
     by_method = {method: [] for method in methods}
     for mesh, n in meshes:
-        for level in certify_level(mesh, k, methods, references, n=n, dump_dir=dump_dir):
+        for level in certify_level(mesh, k, methods, references, n=n):
             by_method[level.method].append(level)
     renderer = render_json if args.format == "json" else render_csv
     text = renderer(by_method, k, references)
@@ -323,6 +320,8 @@ def _cmd_bounds(args):
         raise UsageError("--dump-matrices needs --method conforming or both")
     k = _report_k(args)
     mesh, n = _resolve_mesh(args)
+    if args.dump_matrices is not None:
+        _dump_matrices(assemble_system(mesh), args.dump_matrices)
     return _report(args, k, mesh.domain, [(mesh, n)])
 
 

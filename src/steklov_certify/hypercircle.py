@@ -326,7 +326,11 @@ class EquilibrationSolver:
         z = P1^{-1} (mass y - broken_coupling^T lam), and no (n_P1, s)
         array is formed.  The flux energy of two data is read off the
         multipliers of one of them as -loads^T lam - traces^T mu.  This
-        gives Q G_A.
+        gives Q G_A.  Every trace datum is compatible in exact
+        arithmetic: P1 1 = mass 1, so volumes = C^T 1 are the column sums
+        of the boundary mass and each shift is rounding-level.  The shift
+        terms stay, as dropping them all tripled the worst compatibility
+        residual at square n = 128.
 
         On G_N the Neumann solution, the loads and the mean shift vanish
         (1^T C is the boundary integral), so G_N^T Q G_N = W^T W with

@@ -14,7 +14,7 @@ attached to drive the certified constants: per-element longest edge, area,
 and the height with respect to each edge.  Boundary edges are stored as an
 oriented loop (counterclockwise, domain on the left) so downstream code can
 form outward normals without guessing, and each boundary edge knows the
-unique triangle it belongs to.
+unique triangle it belongs to and its local edge in that triangle.
 """
 
 from __future__ import annotations
@@ -106,6 +106,9 @@ class Mesh:
     boundary_triangles : (nb,) int array
         The unique triangle containing each boundary edge; derived by the
         constructor, not passed to it.
+    boundary_local : (nb,) int array
+        The local edge of each boundary edge in that triangle (see
+        boundary_local_edges), derived by the constructor (read-only).
     edge_table : EdgeTable
         Every edge once, kept from the constructor's checks (read-only).
         The signed areas and per-triangle edge lengths are kept too.
@@ -116,6 +119,7 @@ class Mesh:
     boundary_edges: np.ndarray
     domain: str = "custom"
     boundary_triangles: np.ndarray = field(init=False)
+    boundary_local: np.ndarray = field(init=False)
     edge_table: EdgeTable = field(init=False, repr=False)
     _areas: np.ndarray = field(init=False, repr=False)
     _lengths: np.ndarray = field(init=False, repr=False)
@@ -157,9 +161,7 @@ class Mesh:
         _reject(counts > 2, lambda e: (
             f"edge {tuple(edges[e].tolist())} is shared by {counts[e]} > 2 triangles"
         ))
-        # +1 per triangle that runs the edge min -> max, -1 per max -> min
-        forward = np.where(triangles < np.roll(triangles, -1, axis=1), 1.0, -1.0)
-        turns = np.bincount(table.tri_edges.ravel(), forward.ravel(), len(edges))
+        turns = np.bincount(table.tri_edges.ravel(), table.tri_edge_sign.ravel(), len(edges))
         _reject(np.abs(turns) > 1, lambda e: (
             f"edge {tuple(edges[e].tolist())} runs the same way in both its triangles (folded mesh)"
         ))
@@ -177,7 +179,7 @@ class Mesh:
                     _lengths=_frozen(np.hypot(d[:, :, 0], d[:, :, 1]), float))
         for name, a in kept.items():
             object.__setattr__(self, name, a)
-        boundary_local_edges(self)
+        object.__setattr__(self, "boundary_local", _frozen(boundary_local_edges(self), np.int64))
 
         heads, tails = boundary_edges.T
         _reject(tails != np.roll(heads, -1), lambda j: f"boundary loop breaks after edge {j}")
@@ -208,8 +210,8 @@ class Mesh:
         return self._lengths
 
     def boundary_edge_lengths(self):
-        d = self.vertices[self.boundary_edges[:, 1]] - self.vertices[self.boundary_edges[:, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
+        """(nb,) lengths of the boundary edges, in loop order."""
+        return self._lengths[self.boundary_triangles, self.boundary_local]
 
     @property
     def h(self):
@@ -274,12 +276,14 @@ class EdgeTable:
 
     edges (ne, 2) holds each edge as its (min, max) vertex pair, in
     lexicographic order; tri_edges[t, l] is the number of the edge from
-    local vertex l to local vertex l + 1 (mod 3) of triangle t.  Both
-    are read-only.
+    local vertex l to local vertex l + 1 (mod 3) of triangle t, and
+    tri_edge_sign[t, l] is +1 where that edge runs from its min to its
+    max vertex, -1 otherwise.  All three are read-only.
     """
 
     edges: np.ndarray
     tri_edges: np.ndarray
+    tri_edge_sign: np.ndarray
 
     @property
     def counts(self):
@@ -310,7 +314,9 @@ def edge_table(triangles):
     pairs = np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1)
     keys, inverse = np.unique(_pair_keys(pairs, base), return_inverse=True)
     edges = np.column_stack(np.divmod(keys, base))
-    return EdgeTable(_frozen(edges, np.int64), _frozen(inverse.reshape(tris.shape), np.int64))
+    sign = np.where(pairs[..., 0] < pairs[..., 1], 1.0, -1.0)
+    return EdgeTable(_frozen(edges, np.int64), _frozen(inverse.reshape(tris.shape), np.int64),
+                     _frozen(sign, float))
 
 
 def _lattice_mesh(n, corners, domain):

@@ -242,6 +242,14 @@ def test_trace_map_signs_follow_edge_orientation():
             assert np.array_equal(block, sign * np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_dof_maps_share_the_mesh_edge_orientation(system_lshape2):
+    """The min -> max orientation of the flux space is the mesh edge
+    table's own array, not a copy."""
+    mesh = system_lshape2.mesh
+    assert system_lshape2.dofs.tri_edge_sign is mesh.edge_table.tri_edge_sign
+    assert assemble_system(mesh).dofs.tri_edge_sign is mesh.edge_table.tri_edge_sign
+
+
 def test_every_operator_matrix_is_sparse(system_lshape2):
     """Every matrix field of AssembledSystem and BoundaryOperators, and
     the broken mass and flux matrices that a system builds on first use,

@@ -281,6 +281,10 @@ def test_bounds_dump_matrices(tmp_path, capsys):
         dense[int(i), int(j)] = float(v)
     expected, _ = assemble_p1(uniform_square_mesh(2))
     assert np.array_equal(dense, expected.toarray())
+    # the dump is written beside the report and leaves it unchanged
+    _run(["bounds", "--domain", "square", "--n", "2", "--k", "1",
+          "--out", str(tmp_path / "plain.csv")], capsys)
+    assert (tmp_path / "o.csv").read_text() == (tmp_path / "plain.csv").read_text()
 
 
 def test_bounds_usage_errors(tmp_path, capsys):
@@ -420,4 +424,22 @@ def test_certify_level_builds_no_edge_table_after_the_mesh(monkeypatch):
     for module in (mesh_module, assembly, steklov):
         monkeypatch.setattr(module, "edge_table", counting, raising=False)
     certify_level(mesh, 3, ("conforming", "cr"), None)
+    assert calls == []
+
+
+def test_certify_level_locates_no_boundary_edge_after_the_mesh(monkeypatch):
+    """The mesh keeps the local edge of each boundary edge that its
+    constructor checks, and the dof maps, the boundary forms and the
+    trace constants read it: a level certified with both methods looks
+    no boundary edge up again."""
+    mesh = uniform_square_mesh(8)
+    calls = []
+
+    def counting(mesh, _f=mesh_module.boundary_local_edges):
+        calls.append(mesh.num_boundary_edges)
+        return _f(mesh)
+
+    for module in (mesh_module, assembly, bounds):
+        monkeypatch.setattr(module, "boundary_local_edges", counting, raising=False)
+    certify_level(mesh, 3, ("conforming", "cr"), None, n=8)
     assert calls == []

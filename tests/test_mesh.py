@@ -230,25 +230,46 @@ def test_roundtrip_lshape(tmp_path):
     assert back.domain == "l_shape"
 
 
-@pytest.mark.parametrize("table", ["triangle_areas", "edge_lengths_per_triangle"])
+_KEPT_TABLES = {
+    "triangle_areas": lambda mesh: mesh.triangle_areas(),
+    "edge_lengths_per_triangle": lambda mesh: mesh.edge_lengths_per_triangle(),
+    "boundary_local": lambda mesh: mesh.boundary_local,
+    "tri_edge_sign": lambda mesh: mesh.edge_table.tri_edge_sign,
+}
+
+
+@pytest.mark.parametrize("table", list(_KEPT_TABLES))
 def test_mesh_computes_its_tables_once(table):
-    """The signed areas and the per-triangle edge lengths are computed
-    once per mesh and handed out read-only."""
+    """The signed areas, the per-triangle edge lengths, the local edge
+    of each boundary edge and the edge orientations are computed once
+    per mesh and handed out read-only."""
     mesh = uniform_lshape_mesh(3)
-    first = getattr(mesh, table)()
-    assert getattr(mesh, table)() is first
+    first = _KEPT_TABLES[table](mesh)
+    assert _KEPT_TABLES[table](mesh) is first
     with pytest.raises(ValueError):
-        first[0] = 1.0
+        first[0] = 1
 
 
 def test_mesh_keeps_its_edge_table_read_only():
     mesh = uniform_square_mesh(3)
     fresh = edge_table(mesh.triangles)
-    for name in ("edges", "tri_edges"):
+    for name in ("edges", "tri_edges", "tri_edge_sign"):
         kept = getattr(mesh.edge_table, name)
         assert np.array_equal(kept, getattr(fresh, name))
         with pytest.raises(ValueError):
             kept[0] = 0
+
+
+def test_edge_sign_marks_the_edges_run_from_min_to_max():
+    """tri_edge_sign[t, l] is +1 exactly where local vertex l of
+    triangle t is the min vertex of its edge, and every interior edge
+    has one +1 and one -1."""
+    for mesh in (uniform_square_mesh(3), uniform_lshape_mesh(2)):
+        table = mesh.edge_table
+        starts_at_min = mesh.triangles == table.edges[table.tri_edges, 0]
+        assert np.array_equal(table.tri_edge_sign, np.where(starts_at_min, 1.0, -1.0))
+        turns = np.bincount(table.tri_edges.ravel(), table.tri_edge_sign.ravel())
+        assert np.array_equal(np.abs(turns), (table.counts == 1).astype(float))
 
 
 def test_read_builds_the_edge_table_once(tmp_path, monkeypatch):
@@ -463,6 +484,7 @@ def test_mesh_equality_and_hash_are_identity():
 def test_boundary_local_edges_finds_each_edge_in_its_triangle():
     for mesh in (uniform_square_mesh(3), uniform_lshape_mesh(2)):
         local = boundary_local_edges(mesh)
+        assert np.array_equal(mesh.boundary_local, local)
         owner = mesh.triangles[mesh.boundary_triangles]
         rows = np.arange(mesh.num_boundary_edges)
         assert np.array_equal(owner[rows, local], mesh.boundary_edges[:, 0])
