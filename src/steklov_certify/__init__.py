@@ -42,10 +42,9 @@ from .mesh import (
     read_mesh,
     uniform_lshape_mesh,
     uniform_square_mesh,
-    validate_mesh,
     write_mesh,
 )
-from .steklov import SteklovSpectrum, rayleigh_quotient, solve_steklov_cr, solve_steklov_p1
+from .steklov import rayleigh_quotient, solve_steklov_cr, solve_steklov_p1
 
 __version__ = "0.1.0"
 
@@ -62,7 +61,6 @@ __all__ = [
     "MeshError",
     "NeumannSolution",
     "ProjectionConstant",
-    "SteklovSpectrum",
     "assemble_boundary",
     "assemble_p1",
     "assemble_system",
@@ -82,7 +80,6 @@ __all__ = [
     "trace_constant_simplified",
     "uniform_lshape_mesh",
     "uniform_square_mesh",
-    "validate_mesh",
     "write_mesh",
     "__version__",
 ]

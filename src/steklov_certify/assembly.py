@@ -346,7 +346,6 @@ class _Evaluation(NamedTuple):
     values: sp.csr_matrix
     divergence: sp.csr_matrix
     gradients: sp.csr_matrix
-    areas: np.ndarray
 
 
 def _rows(blocks, cols, width):
@@ -427,8 +426,7 @@ class AssembledSystem:
         """Pointwise evaluation as csr maps of the coefficients, built on
         first use: the values of a flux at the triangle-rule points
         (nt*q*2, p), its divergence at the triangle vertices (3 nt, p)
-        and the gradient of a P1 function per triangle (2 nt, n); and the
-        triangle areas."""
+        and the gradient of a P1 function per triangle (2 nt, n)."""
         mesh, el, p = self.mesh, self.rt_elements, self.dofs.dim_rt
         xi = _local_vertices(mesh, el.centroids, el.scales)
         values = np.swapaxes(_monomial_values(TRIANGLE_RULE[0] @ xi), 2, 3) @ el.coeffs[:, None]
@@ -438,7 +436,6 @@ class AssembledSystem:
             values=_rows(values, el.gdofs[:, None, None], p),
             divergence=_rows(divergence, el.gdofs[:, None], p),
             gradients=_rows(gradients, mesh.triangles[:, None], mesh.num_vertices),
-            areas=mesh.triangle_areas(),
         )
 
 

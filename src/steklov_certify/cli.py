@@ -35,9 +35,9 @@ import scipy.sparse as sp
 from . import bounds as bnd
 from .assembly import assemble_system
 from .hypercircle import EquilibrationSolver
-from .linalg import LinearAlgebraError
+from .linalg import LinearAlgebraError, general_sym_eig
 from .mesh import MeshError, read_mesh, uniform_lshape_mesh, uniform_square_mesh, write_mesh
-from .steklov import pencil_spectrum, solve_steklov_cr
+from .steklov import solve_steklov_cr
 
 __all__ = [
     "LevelResult",
@@ -117,9 +117,7 @@ def certify_level(mesh, k, methods, references, n=None):
         system = assemble_system(mesh)
         proj = EquilibrationSolver(system).constant()
         cert = bnd.certification_constant(trace_const, proj.value)
-        spectrum = pencil_spectrum(
-            "conforming", system.stiffness + system.mass, system.vertex_boundary_mass, k
-        )
+        spectrum = general_sym_eig(system.stiffness + system.mass, system.vertex_boundary_mass, k)
         results.append(level("conforming", spectrum, cert, proj_const=proj.value, cert_const=cert))
     if "cr" in methods:
         spectrum = solve_steklov_cr(mesh, k)
@@ -282,18 +280,22 @@ def _report_k(args):
     return _positive("--k", args.k)
 
 
-def _report(args, k, domain, meshes):
-    """Certify each (mesh, n) of meshes in turn, then render the rows
-    grouped by method to --out or stdout."""
+def _references(args, domain):
+    """The reference eigenvalues of the domain that --refs/--no-refs
+    select, loaded before anything is computed or written."""
     if args.no_refs:
-        references = None
-    elif args.refs:
+        return None
+    if args.refs:
         table = bnd.load_references(args.refs)
         if domain not in table:
             raise ValueError(f"{args.refs}: no entry for {domain!r}")
-        references = table[domain]
-    else:
-        references = bnd.reference_eigenvalues(domain)
+        return table[domain]
+    return bnd.reference_eigenvalues(domain)
+
+
+def _report(args, k, references, meshes):
+    """Certify each (mesh, n) of meshes in turn, then render the rows
+    grouped by method to --out or stdout."""
     methods = _METHODS[args.method]
     by_method = {method: [] for method in methods}
     for mesh, n in meshes:
@@ -320,9 +322,10 @@ def _cmd_bounds(args):
         raise UsageError("--dump-matrices needs --method conforming or both")
     k = _report_k(args)
     mesh, n = _resolve_mesh(args)
+    references = _references(args, mesh.domain)
     if args.dump_matrices is not None:
         _dump_matrices(assemble_system(mesh), args.dump_matrices)
-    return _report(args, k, mesh.domain, [(mesh, n)])
+    return _report(args, k, references, [(mesh, n)])
 
 
 def _cmd_convergence(args):
@@ -335,8 +338,9 @@ def _cmd_convergence(args):
     if any(n < 1 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise UsageError("--levels must be increasing positive integers")
     k = _report_k(args)
+    references = _references(args, _DOMAIN_FLAGS[args.domain])
     meshes = ((_GENERATORS[args.domain](n), n) for n in ns)
-    return _report(args, k, _DOMAIN_FLAGS[args.domain], meshes)
+    return _report(args, k, references, meshes)
 
 
 def _add_report_options(parser, method):

@@ -455,11 +455,11 @@ def _direct_error_squared(system, y, x):
     """Quadrature route for |grad u - p|^2 (degree-4 integrand, exact rule)
     through the system's cached evaluation operators."""
     _, wq = TRIANGLE_RULE
-    evaluation = system._evaluation
-    nt = system.mesh.num_triangles
+    mesh = system.mesh
+    nt = mesh.num_triangles
     # one row per triangle, (point, component) pairs along it: numpy
     # broadcasts over a length-2 last axis several times slower
-    grad_u = np.tile((evaluation.gradients @ y).reshape(nt, 2), len(wq))
+    grad_u = np.tile((system._evaluation.gradients @ y).reshape(nt, 2), len(wq))
     diff = rt_values_at_quadrature(system, x).reshape(nt, -1) - grad_u
-    return float(evaluation.areas @ ((diff * diff) @ np.repeat(wq, 2)))
+    return float(mesh.triangle_areas() @ ((diff * diff) @ np.repeat(wq, 2)))
 

@@ -384,9 +384,10 @@ class EigenResult:
     """The smallest finite eigenpairs of a symmetric pencil.
 
     values are ascending (up to roundoff inside a group of equal
-    eigenvalues); vectors (columns) are B-orthonormal; n_finite
-    is the total number of finite eigenvalues of the pencil; support
-    lists the dofs where B has a nonzero row.
+    eigenvalues); vectors (columns) are B-orthonormal, each with a
+    deterministic sign: its largest-magnitude entry on support is
+    positive; n_finite is the total number of finite eigenvalues of the
+    pencil; support lists the dofs where B has a nonzero row.
     """
 
     values: np.ndarray
@@ -420,9 +421,10 @@ def general_sym_eig(a, b, k=None):
     -a_ii^{-1} a_ib w on the interior.  One refinement step follows, and
     each solve keeps its residual check.
 
-    Each returned value is the Rayleigh quotient of its returned,
-    b-normalized vector, summed free of cancellation by
-    _quadratic_form, and each pair must satisfy
+    Each vector is b-normalized and given a deterministic sign: its
+    largest-magnitude entry on the support is positive.  Each returned
+    value is the Rayleigh quotient of its returned vector, summed free
+    of cancellation by _quadratic_form, and each pair must satisfy
     ||a x - lambda b x|| <= 1e-10 ||a x||, or LinearAlgebraError is
     raised.  The first k vectors of _top_eigenpairs do not depend on how
     many more are requested, and every later step is per column, so the
@@ -467,6 +469,8 @@ def general_sym_eig(a, b, k=None):
     vectors[order] = x_p
     b_form = _quadratic_form(b_sp)
     vectors /= np.sqrt(b_form(vectors))
+    peaks = vectors[support[np.argmax(np.abs(vectors[support]), axis=0)], np.arange(k)]
+    vectors *= np.where(peaks < 0.0, -1.0, 1.0)
     values = _quadratic_form(a_sp)(vectors) / b_form(vectors)
     _check_residual(lambda v: (b_sp @ v) * values, vectors, a_sp @ vectors, "eigenpair check")
     return EigenResult(values, vectors, n_finite, support)

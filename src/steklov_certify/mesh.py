@@ -37,7 +37,6 @@ __all__ = [
     "read_mesh",
     "uniform_lshape_mesh",
     "uniform_square_mesh",
-    "validate_mesh",
     "write_mesh",
 ]
 
@@ -388,13 +387,6 @@ def uniform_lshape_mesh(n):
     (2,0), (2,1), (1,1), (1,2), (0,2); the reentrant corner is (1,1).
     """
     return _lattice_mesh(n, [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], "l_shape")
-
-
-def validate_mesh(mesh):
-    """Re-run the checks of the Mesh constructor on a mesh's arrays and
-    return the mesh; raises MeshError naming the first offender."""
-    Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.domain)
-    return mesh
 
 
 def write_mesh(mesh, path):

@@ -9,13 +9,12 @@ Raviart space with one dof per edge (eigenvalues used by the companion
 lower bound).  Only boundary-supported directions carry finite
 eigenvalues; the count is reported as n_finite.
 
-Eigenvectors are b-normalized with a deterministic sign: the largest-
-magnitude coefficient among the boundary-supported dofs is positive.
+Both solvers return the EigenResult of linalg.general_sym_eig, whose
+vectors are b-normalized and signed there; degenerate_groups(values)
+tags the eigenvalues that agree to relative 1e-9.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,33 +28,14 @@ from .assembly import (
 from .linalg import general_sym_eig
 
 __all__ = [
-    "SteklovSpectrum",
     "assemble_cr",
     "degenerate_groups",
-    "pencil_spectrum",
     "rayleigh_quotient",
     "solve_steklov_cr",
     "solve_steklov_p1",
 ]
 
 _GROUP_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SteklovSpectrum:
-    """The k smallest discrete Steklov eigenvalues of one method.
-
-    values are ascending; vectors (columns, b-normalized) live in the
-    method's own dof order (vertices for conforming, edges for CR);
-    groups[i] is a multiplicity tag: equal tags mark eigenvalues that
-    agree to relative 1e-9 and should be read as one degenerate group.
-    """
-
-    method: str
-    values: np.ndarray
-    vectors: np.ndarray
-    n_finite: int
-    groups: np.ndarray
 
 
 def degenerate_groups(values):
@@ -66,42 +46,22 @@ def degenerate_groups(values):
     return np.cumsum(np.concatenate([[False], apart]), dtype=np.int64)[: len(values)]
 
 
-def _fix_signs(vectors, support):
-    """Flip columns so the largest-magnitude supported entry is positive."""
-    block = vectors[support]
-    peaks = block[np.argmax(np.abs(block), axis=0), np.arange(block.shape[1])]
-    return vectors * np.where(peaks < 0.0, -1.0, 1.0)
-
-
-def pencil_spectrum(method, a, boundary_form, k):
-    """The k smallest eigenpairs of the assembled pencil (a, boundary_form)
-    of a method, signs fixed."""
-    result = general_sym_eig(a, boundary_form, k=k)
-    return SteklovSpectrum(
-        method=method,
-        values=result.values,
-        vectors=_fix_signs(result.vectors, result.support),
-        n_finite=result.n_finite,
-        groups=degenerate_groups(result.values),
-    )
-
-
 def solve_steklov_p1(mesh, k):
     """The k smallest conforming P1 Steklov eigenvalues of the mesh."""
     stiffness, mass = assemble_p1(mesh)
-    boundary_mass = assemble_boundary(mesh).vertex_boundary_mass
-    return pencil_spectrum("conforming", stiffness + mass, boundary_mass, k)
+    boundary = assemble_boundary(mesh).vertex_boundary_mass
+    return general_sym_eig(stiffness + mass, boundary, k=k)
 
 
 def assemble_cr(mesh):
-    """Crouzeix-Raviart stiffness+mass pencil and boundary form.
+    """Crouzeix-Raviart stiffness, mass and boundary form.
 
-    Dofs sit at edge midpoints, one per edge of the mesh's edge table,
-    which is returned with the forms.  The basis function of edge e on a
-    triangle is 1 - 2*hat_i with hat_i the vertex hat opposite e, so the
-    element stiffness is the P1 element stiffness times four and the
-    element mass is diagonal.  The boundary form uses the exact edgewise
-    integrals of the traces, which are linear per edge.
+    Dofs sit at edge midpoints, one per edge of mesh.edge_table, in its
+    order.  The basis function of edge e on a triangle is 1 - 2*hat_i
+    with hat_i the vertex hat opposite e, so the element stiffness is the
+    P1 element stiffness times four and the element mass is diagonal.
+    The boundary form uses the exact edgewise integrals of the traces,
+    which are linear per edge.
     """
     table = mesh.edge_table
     ne = len(table.edges)
@@ -125,13 +85,13 @@ def assemble_cr(mesh):
     )
     b_edges = edge_of[mesh.boundary_triangles]
     boundary_form = scatter_blocks(b_edges, b_edges, blocks, (ne, ne))
-    return stiffness, mass, boundary_form, table
+    return stiffness, mass, boundary_form
 
 
 def solve_steklov_cr(mesh, k):
     """The k smallest Crouzeix-Raviart Steklov eigenvalues of the mesh."""
-    stiffness, mass, boundary_form, _ = assemble_cr(mesh)
-    return pencil_spectrum("cr", stiffness + mass, boundary_form, k)
+    stiffness, mass, boundary = assemble_cr(mesh)
+    return general_sym_eig(stiffness + mass, boundary, k=k)
 
 
 def rayleigh_quotient(stiffness, mass, boundary_form, v):

@@ -449,7 +449,7 @@ def test_criterion_8_small_problem_cross_checks():
             (f"p1 pencil {tag}", rel <= 1e-10, f"max rel deviation {rel:.2e}")
         )
 
-        cr_s, cr_m, cr_b, _ = assemble_cr(mesh)
+        cr_s, cr_m, cr_b = assemble_cr(mesh)
         cr_spec = solve_steklov_cr(mesh, 3)
         cr_oracle = dense_pencil_eigenvalues((cr_s + cr_m).toarray(), cr_b.toarray())
         rel = float(np.max(np.abs(cr_spec.values - cr_oracle[:3]) / cr_oracle[:3]))

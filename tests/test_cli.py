@@ -11,7 +11,7 @@ import pytest
 
 from steklov_certify import assembly, bounds, steklov
 from steklov_certify import mesh as mesh_module
-from steklov_certify.assembly import assemble_p1
+from steklov_certify.assembly import assemble_system
 from steklov_certify.cli import certify_level, main
 from steklov_certify.mesh import edge_table, read_mesh, uniform_square_mesh
 
@@ -272,15 +272,21 @@ def test_bounds_dump_matrices(tmp_path, capsys):
         "broken_mass.txt", "broken_coupling.txt", "rt_mass.txt",
         "div_coupling.txt", "broken_moments.txt",
     }
-    # triplets reconstruct the stiffness matrix exactly
-    lines = (dump / "stiffness.txt").read_text().strip().splitlines()
-    rows_, cols_ = map(int, lines[0].lstrip("# ").split())
-    dense = np.zeros((rows_, cols_))
-    for line in lines[1:]:
-        i, j, v = line.split()
-        dense[int(i), int(j)] = float(v)
-    expected, _ = assemble_p1(uniform_square_mesh(2))
-    assert np.array_equal(dense, expected.toarray())
+    # every file: a header with the matrix shape, then (row, col, value)
+    # triplets sorted by (row, col) that rebuild the matrix exactly, since
+    # %.17g round-trips float64; broken_moments is one column
+    system = assemble_system(uniform_square_mesh(2))
+    for name in names:
+        matrix = getattr(system, name[: -len(".txt")])
+        expected = matrix[:, None] if matrix.ndim == 1 else matrix.toarray()
+        header, *lines = (dump / name).read_text().splitlines()
+        assert header == "# {} {}".format(*expected.shape), name
+        triplets = [line.split() for line in lines]
+        rows_, cols_ = (np.array([int(t[i]) for t in triplets]) for i in (0, 1))
+        assert np.all(np.diff(rows_ * expected.shape[1] + cols_) > 0), name
+        dense = np.zeros(expected.shape)
+        dense[rows_, cols_] = [float(t[2]) for t in triplets]
+        assert np.array_equal(dense, expected), name
     # the dump is written beside the report and leaves it unchanged
     _run(["bounds", "--domain", "square", "--n", "2", "--k", "1",
           "--out", str(tmp_path / "plain.csv")], capsys)
@@ -302,6 +308,22 @@ def test_bounds_usage_errors(tmp_path, capsys):
     refs = str(tmp_path / "refs.json")
     code, out, err = _run(["bounds", "--mesh", missing, "--refs", refs, "--no-refs"], capsys)
     assert (code, out, err) == (2, "", "error: --no-refs excludes --refs\n")
+
+
+def test_bounds_bad_refs_writes_no_matrices(tmp_path, capsys):
+    """--refs is loaded before --dump-matrices writes anything: a bad
+    reference file exits 1 and leaves no directory behind."""
+    dump, refs = tmp_path / "matrices", tmp_path / "refs.json"
+    refs.write_text('{"unit_square": {"values": []}}')
+    code, out, err = _run(
+        ["bounds", "--domain", "square", "--n", "2", "--dump-matrices", str(dump),
+         "--refs", str(refs)],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == (f"error: {refs}: entry 'unit_square' needs a nonempty finite list "
+                   'as "values"\n')
+    assert not dump.exists()
 
 
 def test_bounds_dump_matrices_needs_conforming(tmp_path, capsys):

@@ -16,8 +16,8 @@ from steklov_certify.linalg import (
     SingularSystemError,
     general_sym_eig,
 )
-from steklov_certify.mesh import Mesh, uniform_lshape_mesh, uniform_square_mesh, validate_mesh
-from steklov_certify.steklov import assemble_cr
+from steklov_certify.mesh import Mesh, uniform_lshape_mesh, uniform_square_mesh
+from steklov_certify.steklov import assemble_cr, solve_steklov_cr, solve_steklov_p1
 
 from oracles import dense_pencil_eigenvalues, kkt_matrix
 
@@ -221,7 +221,7 @@ def test_eig_orthonormality_and_residual(system_square2):
 
 
 def _cr_pencil(mesh):
-    stiffness, mass, boundary_form, _ = assemble_cr(mesh)
+    stiffness, mass, boundary_form = assemble_cr(mesh)
     return stiffness + mass, boundary_form
 
 
@@ -250,6 +250,24 @@ def test_eig_returns_only_the_selected_vectors():
         assert np.allclose(three.vectors, every.vectors[:, :3], rtol=0.0, atol=1e-13)
         gram = three.vectors.T @ (b @ three.vectors)
         assert np.allclose(gram, np.eye(3), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mesh", [uniform_square_mesh(4), uniform_lshape_mesh(2)],
+                         ids=["square4", "lshape2"])
+@pytest.mark.parametrize("pencil,solve", [(_p1_pencil, solve_steklov_p1),
+                                          (_cr_pencil, solve_steklov_cr)], ids=["p1", "cr"])
+def test_eig_signs_each_vector_by_its_largest_supported_entry(mesh, pencil, solve):
+    """general_sym_eig owns the sign rule: in each returned column the
+    largest-magnitude entry on the support of b is positive.  The
+    Steklov solvers return its result as it is, bit for bit."""
+    a, b = pencil(mesh)
+    result = general_sym_eig(a, b, k=4)
+    block = result.vectors[result.support]
+    peaks = block[np.argmax(np.abs(block), axis=0), np.arange(4)]
+    assert np.all(peaks > 0.0)
+    solved = solve(mesh, 4)
+    assert np.array_equal(solved.values, result.values)
+    assert np.array_equal(solved.vectors, result.vectors)
 
 
 def test_eig_computes_only_the_selected_vectors(monkeypatch):
@@ -295,7 +313,7 @@ def test_eig_solves_only_the_selected_columns(monkeypatch):
     k = 3 selected vectors once and refines them once, where the
     streamed route solved twice per support column (2 x 155 columns
     here)."""
-    stiffness, mass, boundary_form, _ = assemble_cr(uniform_lshape_mesh(8))
+    stiffness, mass, boundary_form = assemble_cr(uniform_lshape_mesh(8))
     spies = _spy_on_superlu(monkeypatch)
     result = general_sym_eig(stiffness + mass, boundary_form, k=3)
     assert result.support.size == 155
@@ -357,9 +375,7 @@ def _renumbered(mesh, rng):
     label = rng.permutation(mesh.num_vertices)  # old vertex v becomes label[v]
     vertices = np.empty_like(mesh.vertices)
     vertices[label] = mesh.vertices
-    return validate_mesh(
-        Mesh(vertices, label[mesh.triangles], label[mesh.boundary_edges], domain=mesh.domain)
-    )
+    return Mesh(vertices, label[mesh.triangles], label[mesh.boundary_edges], domain=mesh.domain)
 
 
 def _jittered(n, rng):
@@ -370,9 +386,7 @@ def _jittered(n, rng):
     vertices[interior] += rng.uniform(0.0, 0.2 / n, interior.size)[:, None] * np.column_stack(
         [np.cos(angle), np.sin(angle)]
     )
-    return validate_mesh(
-        Mesh(vertices, mesh.triangles, mesh.boundary_edges, domain=mesh.domain)
-    )
+    return Mesh(vertices, mesh.triangles, mesh.boundary_edges, domain=mesh.domain)
 
 
 @pytest.mark.parametrize(
@@ -392,7 +406,7 @@ def test_eig_keeps_the_support_last_where_a_boundary_vertex_has_no_interior_neig
     both pencils match the dense oracle."""
     mesh = build(np.random.default_rng(3))
     system = assemble_system(mesh)
-    stiffness, mass, boundary_form, _ = assemble_cr(mesh)
+    stiffness, mass, boundary_form = assemble_cr(mesh)
     for a, b in [
         (system.stiffness + system.mass, system.vertex_boundary_mass),
         (stiffness + mass, boundary_form),
@@ -412,7 +426,7 @@ def test_eig_full_support_pencils_match_dense_oracle(method):
         a = system.stiffness + system.mass
         b = system.vertex_boundary_mass
     else:
-        stiffness, mass, b, _ = assemble_cr(uniform_square_mesh(2))
+        stiffness, mass, b = assemble_cr(uniform_square_mesh(2))
         a = stiffness + mass
     result = general_sym_eig(a, b)
     expected = dense_pencil_eigenvalues(a.toarray(), b.toarray())

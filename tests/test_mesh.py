@@ -16,7 +16,6 @@ from steklov_certify.mesh import (
     read_mesh,
     uniform_lshape_mesh,
     uniform_square_mesh,
-    validate_mesh,
     write_mesh,
 )
 
@@ -131,7 +130,7 @@ def test_numpy_integer_subdivisions(gen):
 )
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_area_and_perimeter(gen, area, perimeter, n):
-    mesh = validate_mesh(gen(n))
+    mesh = gen(n)
     assert mesh.triangle_areas().sum() == pytest.approx(area, rel=1e-12)
     assert mesh.boundary_edge_lengths().sum() == pytest.approx(perimeter, rel=1e-12)
 

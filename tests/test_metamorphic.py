@@ -20,7 +20,6 @@ from steklov_certify.mesh import (
     read_mesh,
     uniform_lshape_mesh,
     uniform_square_mesh,
-    validate_mesh,
     write_mesh,
 )
 
@@ -32,13 +31,11 @@ _CONSTANTS = ("trace_const", "trace_simple", "proj_const", "cert_const", "cr_con
 def _rebuild(mesh, vertices=None, triangles=None, boundary_edges=None, boundary_triangles=None):
     """The mesh with the given arrays replaced; boundary_triangles, when
     given, is what the constructor must find for the new arrays."""
-    rebuilt = validate_mesh(
-        Mesh(
-            mesh.vertices if vertices is None else vertices,
-            mesh.triangles if triangles is None else triangles,
-            mesh.boundary_edges if boundary_edges is None else boundary_edges,
-            domain=mesh.domain,
-        )
+    rebuilt = Mesh(
+        mesh.vertices if vertices is None else vertices,
+        mesh.triangles if triangles is None else triangles,
+        mesh.boundary_edges if boundary_edges is None else boundary_edges,
+        domain=mesh.domain,
     )
     expected = mesh.boundary_triangles if boundary_triangles is None else boundary_triangles
     assert np.array_equal(rebuilt.boundary_triangles, expected)
@@ -169,7 +166,7 @@ def test_jittered_square_keeps_the_enclosure(n, seed):
     length = rng.uniform(0.0, 0.2 / n, interior.size)
     vertices = mesh.vertices.copy()
     vertices[interior] += length[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
-    jittered = _rebuild(mesh, vertices=vertices)  # runs validate_mesh
+    jittered = _rebuild(mesh, vertices=vertices)  # runs the Mesh checks
     refs = reference_eigenvalues("unit_square")
     results = certify_level(jittered, 3, ("conforming", "cr"), refs)
     assert [r.method for r in results] == ["conforming", "cr"]
