@@ -116,9 +116,9 @@ def child_memory(src, domain, n):
         "dofs": {
             "p1": dofs.dim_p1,
             "broken": dofs.dim_broken,
-            "rt": dofs.dim_rt_interior + dofs.dim_rt_boundary,
+            "rt": dofs.dim_rt_interior + dofs.dim_trace,
             "trace": dofs.dim_trace,
-            "cr": len(dofs.edges),
+            "cr": len(dofs.rt_edge_dofs),
         },
         "system_nnz": dict(sorted(held.items())),
         "system_nnz_total": sum(held.values()),

@@ -174,64 +174,46 @@ def assemble_boundary(mesh):
 
 @dataclass(frozen=True)
 class DofMaps:
-    """Dimensions and index tables of all spaces on one mesh.
+    """Dimensions of all spaces on one mesh and the flux dof numbering.
 
-    The invariants are dim_rt_interior + dim_rt_boundary =
-    2*len(edges) + 2*num_triangles and dim_rt_boundary = dim_trace.
-    tri_edges and tri_edge_sign are the mesh edge table's arrays:
-    tri_edges[t, l] is the number of the edge from local vertex l to
-    local vertex l + 1 (mod 3) of triangle t, and tri_edge_sign[t, l] is
-    +1 where that edge runs from its global min to its max vertex (the
-    orientation of the edge's Raviart-Thomas normal), -1 otherwise.
+    rt_edge_dofs[e] are the two Raviart-Thomas dofs of edge e of
+    mesh.edge_table, at its min and its max vertex, and rt_tri_dofs[t]
+    the two of triangle t.  The boundary edge dofs come last, in loop
+    order, so dim_rt = dim_rt_interior + dim_trace.  The edges, their
+    orientation and the boundary edge numbers are read from the mesh.
     """
 
     dim_p1: int
     dim_broken: int
     dim_trace: int
     dim_rt_interior: int
-    dim_rt_boundary: int
-    edges: np.ndarray
-    edge_is_boundary: np.ndarray
-    boundary_edge_index: np.ndarray
     rt_edge_dofs: np.ndarray
     rt_tri_dofs: np.ndarray
-    tri_edges: np.ndarray
-    tri_edge_sign: np.ndarray
 
     @property
     def dim_rt(self):
         """All Raviart-Thomas dofs, interior and boundary."""
-        return self.dim_rt_interior + self.dim_rt_boundary
+        return self.dim_rt_interior + self.dim_trace
 
 
 def build_dof_maps(mesh):
     nt = mesh.num_triangles
     nb = mesh.num_boundary_edges
-    edges, tri_edges = mesh.edge_table.edges, mesh.edge_table.tri_edges
-    boundary_edge_index = tri_edges[mesh.boundary_triangles, mesh.boundary_local]
-    edge_is_boundary = np.zeros(len(edges), dtype=bool)
-    edge_is_boundary[boundary_edge_index] = True
+    boundary = mesh.boundary_edge_index
+    interior = np.ones(len(mesh.edge_table.edges), dtype=bool)
+    interior[boundary] = False
 
-    n_interior_edges = len(edges) - nb
+    n_interior_edges = len(interior) - nb
     p_int = 2 * n_interior_edges + 2 * nt
-    first = 2 * (np.cumsum(~edge_is_boundary) - 1)
-    first[boundary_edge_index] = p_int + 2 * np.arange(nb)
-    rt_edge_dofs = first[:, None] + np.arange(2)
-    rt_tri_dofs = 2 * n_interior_edges + np.arange(2 * nt).reshape(nt, 2)
-
+    first = 2 * (np.cumsum(interior) - 1)
+    first[boundary] = p_int + 2 * np.arange(nb)
     return DofMaps(
         dim_p1=mesh.num_vertices,
         dim_broken=3 * nt,
         dim_trace=2 * nb,
         dim_rt_interior=p_int,
-        dim_rt_boundary=2 * nb,
-        edges=edges,
-        edge_is_boundary=edge_is_boundary,
-        boundary_edge_index=boundary_edge_index,
-        rt_edge_dofs=rt_edge_dofs,
-        rt_tri_dofs=rt_tri_dofs,
-        tri_edges=tri_edges,
-        tri_edge_sign=mesh.edge_table.tri_edge_sign,
+        rt_edge_dofs=first[:, None] + np.arange(2),
+        rt_tri_dofs=2 * n_interior_edges + np.arange(2 * nt).reshape(nt, 2),
     )
 
 
@@ -301,8 +283,9 @@ def assemble_rt_elements(mesh, dofs):
     nt = mesh.num_triangles
     tris = mesh.triangles
     areas = mesh.triangle_areas()
+    table = mesh.edge_table
 
-    edge_vec = mesh.vertices[dofs.edges[:, 1]] - mesh.vertices[dofs.edges[:, 0]]
+    edge_vec = mesh.vertices[table.edges[:, 1]] - mesh.vertices[table.edges[:, 0]]
     edge_len = np.hypot(edge_vec[:, 0], edge_vec[:, 1])
     edge_normal = np.column_stack([edge_vec[:, 1], -edge_vec[:, 0]]) / edge_len[:, None]
 
@@ -313,9 +296,9 @@ def assemble_rt_elements(mesh, dofs):
     # rows 2l and 2l+1 of the Vandermonde: the normal trace on local edge
     # l at its global min and max vertex
     pair = np.array([[0, 1], [1, 2], [2, 0]])
-    ends = np.where(dofs.tri_edge_sign[:, :, None] > 0, pair, pair[:, ::-1])
+    ends = np.where(table.tri_edge_sign[:, :, None] > 0, pair, pair[:, ::-1])
     ends_xi = xi[np.arange(nt)[:, None, None], ends]
-    normals = edge_normal[dofs.tri_edges][:, :, None, :, None]
+    normals = edge_normal[table.tri_edges][:, :, None, :, None]
     v = np.empty((nt, 8, 8))
     v[:, :6] = (_monomial_values(ends_xi) @ normals).reshape(nt, 6, 8)
     pts = bary @ xi
@@ -337,7 +320,7 @@ def assemble_rt_elements(mesh, dofs):
     div_elem = (areas[:, None, None] * np.einsum("q,qi,tqm->tim", wq, bary, div_mono)) @ c
 
     gdofs = np.concatenate(
-        [dofs.rt_edge_dofs[dofs.tri_edges].reshape(nt, 6), dofs.rt_tri_dofs], axis=1
+        [dofs.rt_edge_dofs[table.tri_edges].reshape(nt, 6), dofs.rt_tri_dofs], axis=1
     )
     return RTElements(gdofs, c, centroids, scales, mass_elem, div_elem)
 

@@ -240,15 +240,16 @@ def render_json(levels_by_method, k, references):
 
 def _dump_matrices(system, directory):
     """Write every sparse matrix of the system, and broken_moments as a
-    column, as (row, col, value) triplet files."""
+    column, as (row, col, value) triplet files in (row, col) order: each
+    matrix is canonical csr and the column dense, so their coo entries
+    already come in that order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name in _DUMPED:
         matrix = getattr(system, name)
         coo = sp.coo_matrix(matrix[:, None] if name == "broken_moments" else matrix)
-        order = np.lexsort((coo.col, coo.row))
         np.savetxt(
-            directory / f"{name}.txt", np.column_stack([coo.row, coo.col, coo.data])[order],
+            directory / f"{name}.txt", np.column_stack([coo.row, coo.col, coo.data]),
             fmt="%d %d %.17g", header=f"{coo.shape[0]} {coo.shape[1]}", comments="# ",
         )
 

@@ -154,10 +154,10 @@ class EquilibrationSolver:
         self._p1 = CholeskyFactor(system.stiffness + system.mass)
         mesh, dofs = system.mesh, system.dofs
         s, m = dofs.dim_trace, dofs.dim_broken
-        n_edge = 2 * len(dofs.edges)
+        n_edge = 2 * len(mesh.edge_table.edges)
         # element data of its own, gone before the edge factors; an
         # audit builds the system's cached copy
-        inv, edge_dof, sign, broken = _local_inverse(dofs, assemble_rt_elements(mesh, dofs))
+        inv, edge_dof, sign, broken = _local_inverse(mesh, assemble_rt_elements(mesh, dofs))
         edge_block = inv[:, :6, :6] * sign[:, :, None] * sign[:, None, :]
         edge_block = 0.5 * (edge_block + np.swapaxes(edge_block, 1, 2))
         schur = scatter_blocks(edge_dof, edge_dof, edge_block, (n_edge, n_edge))
@@ -171,7 +171,7 @@ class EquilibrationSolver:
         # outward normal traces of the boundary edges: the trace map's
         # sign is that of the global normal against the outward one, and
         # the multipliers act on outward traces, so the signs cancel
-        boundary_dof = (2 * dofs.boundary_edge_index[:, None] + np.arange(2)).ravel()
+        boundary_dof = (2 * mesh.boundary_edge_index[:, None] + np.arange(2)).ravel()
         place = sp.csr_matrix((np.ones(s), (boundary_dof, np.arange(s))), shape=(n_edge, s))
         self._trace_to_edge = place @ abs(system.trace_map)
 
@@ -182,9 +182,10 @@ class EquilibrationSolver:
         # edge nearest the vertex centroid; a boundary pin left residuals
         # near the solve tolerance (7e-11 at square n = 64, against 4e-14
         # here), growing fourfold per refinement
-        mids = mesh.vertices[dofs.edges].mean(axis=1)
+        mids = mesh.vertices[mesh.edge_table.edges].mean(axis=1)
         depth = np.linalg.norm(mids - mesh.vertices.mean(axis=0), axis=1)
-        pin = self._pin = 2 * int(np.argmin(np.where(dofs.edge_is_boundary, np.inf, depth)))
+        depth[mesh.boundary_edge_index] = np.inf
+        pin = self._pin = 2 * int(np.argmin(depth))
         self._pin_row = schur[pin]
         schur.data[schur.indices == pin] = 0.0
         schur.data[schur.indptr[pin] : schur.indptr[pin + 1]] = 0.0
@@ -232,7 +233,7 @@ class EquilibrationSolver:
         of its elements' values.  Built on the first solve_flux, from
         the system's element data: constant() needs none of it."""
         dofs, el = self.system.dofs, self.system.rt_elements
-        inv, edge_dof, sign, broken = _local_inverse(dofs, el)
+        inv, edge_dof, sign, broken = _local_inverse(self.system.mesh, el)
         # each element's flux dofs from its entries of [mu; loads]
         stack = np.delete(inv[:, :8], [6, 7], axis=2)
         del inv
@@ -350,9 +351,12 @@ class EquilibrationSolver:
         check; the first error raised in a block reaches the caller
         unchanged and the blocks not yet started are cancelled.  Blocks
         call the factors' _solve, which no tracer wraps (see
-        CholeskyFactor).
+        CholeskyFactor).  A mesh with no interior edge, one triangle, has
+        nowhere to pin and raises LinearAlgebraError.
         """
         sysm = self.system
+        if len(sysm.mesh.edge_table.edges) == sysm.mesh.num_boundary_edges:
+            raise LinearAlgebraError("projection constant: the mesh has no interior edge to pin")
         s = sysm.dofs.dim_trace
         half = s // 2
         coupling = sysm.boundary_coupling
@@ -436,7 +440,7 @@ class EquilibrationSolver:
         return float(np.sqrt(max(diff @ (sysm.broken_mass @ diff), 0.0)))
 
 
-def _local_inverse(dofs, elements):
+def _local_inverse(mesh, elements):
     """Per element, the inverse of its (11, 11) saddle matrix [[mass,
     div^T], [div, 0]], its edge multipliers (2e + k for the RT dof k of
     edge e), their signs (+1 where the global edge normal is the
@@ -446,8 +450,9 @@ def _local_inverse(dofs, elements):
     local[:, :8, :8] = elements.mass
     local[:, :8, 8:] = np.swapaxes(elements.div, 1, 2)
     local[:, 8:, :8] = elements.div
-    edge_dof = (2 * dofs.tri_edges[:, :, None] + np.arange(2)).reshape(nt, 6)
-    sign = np.repeat(dofs.tri_edge_sign, 2, axis=1)
+    table = mesh.edge_table
+    edge_dof = (2 * table.tri_edges[:, :, None] + np.arange(2)).reshape(nt, 6)
+    sign = np.repeat(table.tri_edge_sign, 2, axis=1)
     return np.linalg.inv(local), edge_dof, sign, np.arange(3 * nt).reshape(nt, 3)
 
 

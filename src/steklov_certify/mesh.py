@@ -13,8 +13,9 @@ A mesh is a plain vertex/triangle/boundary-edge table with enough geometry
 attached to drive the certified constants: per-element longest edge, area,
 and the height with respect to each edge.  Boundary edges are stored as an
 oriented loop (counterclockwise, domain on the left) so downstream code can
-form outward normals without guessing, and each boundary edge knows the
-unique triangle it belongs to and its local edge in that triangle.
+form outward normals without guessing, and each boundary edge knows its
+number in the edge table, the unique triangle it belongs to and its local
+edge in that triangle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "ElementGeometry",
     "Mesh",
     "MeshError",
-    "boundary_local_edges",
     "edge_table",
     "element_geometry",
     "read_mesh",
@@ -106,8 +106,11 @@ class Mesh:
         The unique triangle containing each boundary edge; derived by the
         constructor, not passed to it.
     boundary_local : (nb,) int array
-        The local edge of each boundary edge in that triangle (see
-        boundary_local_edges), derived by the constructor (read-only).
+        The local edge l of each boundary edge (a, b) in that triangle,
+        with a its local vertex l, derived by the constructor (read-only).
+    boundary_edge_index : (nb,) int array
+        The number of each boundary edge in edge_table, derived by the
+        constructor (read-only).
     edge_table : EdgeTable
         Every edge once, kept from the constructor's checks (read-only).
         The signed areas and per-triangle edge lengths are kept too.
@@ -119,6 +122,7 @@ class Mesh:
     domain: str = "custom"
     boundary_triangles: np.ndarray = field(init=False)
     boundary_local: np.ndarray = field(init=False)
+    boundary_edge_index: np.ndarray = field(init=False)
     edge_table: EdgeTable = field(init=False, repr=False)
     _areas: np.ndarray = field(init=False, repr=False)
     _lengths: np.ndarray = field(init=False, repr=False)
@@ -150,7 +154,7 @@ class Mesh:
         ))
 
         table = edge_table(triangles)
-        found, owners = table.locate(boundary_edges)
+        found, owners, local = table.locate(boundary_edges)
         _, first, inverse = np.unique(found, return_index=True, return_inverse=True)
         first = first[inverse]
         _reject(first != np.arange(len(found)), lambda j: (
@@ -168,19 +172,24 @@ class Mesh:
         _reject(counts == 1, lambda e: (
             f"edge {tuple(edges[e].tolist())} lies on the boundary but is missing from boundary_edges"
         ))
+        heads, tails = boundary_edges.T
+        _reject(triangles[owners, local] != heads, lambda j: (
+            f"boundary edge {j} = ({heads[j]}, {tails[j]}) is not an edge of triangle {owners[j]} "
+            "in its counterclockwise orientation"
+        ))
         # the edge lengths are made here: built on first use, inside the flux
         # solver's set-up, the long-lived array raised repeated audits' peak RSS
         ends = vertices[triangles]
         d = np.roll(ends, -1, axis=1) - ends
         areas.setflags(write=False)
         kept = dict(vertices=vertices, triangles=triangles, boundary_edges=boundary_edges,
-                    boundary_triangles=_frozen(owners, np.int64), edge_table=table, _areas=areas,
+                    boundary_triangles=_frozen(owners, np.int64),
+                    boundary_local=_frozen(local, np.int64),
+                    boundary_edge_index=_frozen(found, np.int64), edge_table=table, _areas=areas,
                     _lengths=_frozen(np.hypot(d[:, :, 0], d[:, :, 1]), float))
         for name, a in kept.items():
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "boundary_local", _frozen(boundary_local_edges(self), np.int64))
 
-        heads, tails = boundary_edges.T
         _reject(tails != np.roll(heads, -1), lambda j: f"boundary loop breaks after edge {j}")
         if len(np.unique(heads)) != len(heads):
             raise MeshError("boundary loop visits a vertex twice (multiple loops?)")
@@ -245,24 +254,6 @@ def element_geometry(mesh, t):
     )
 
 
-def boundary_local_edges(mesh):
-    """Local edge l of each boundary edge (a, b) in its triangle.
-
-    Returns an (nb,) int array with tri[l] == a and tri[(l + 1) % 3] == b
-    for tri = triangles[boundary_triangles[j]]; raises MeshError for a
-    boundary edge that is not a counterclockwise edge of that triangle.
-    """
-    t = mesh.boundary_triangles
-    owner = mesh.triangles[t]
-    a, b = mesh.boundary_edges[:, :1], mesh.boundary_edges[:, 1:]
-    hit = (owner == a) & (np.roll(owner, -1, axis=1) == b)
-    _reject(hit.sum(axis=1) != 1, lambda j: (
-        f"boundary edge {j} = ({a[j, 0]}, {b[j, 0]}) is not an edge of triangle {t[j]} "
-        "in its counterclockwise orientation"
-    ))
-    return hit.argmax(axis=1)
-
-
 def _pair_keys(pairs, base):
     """One integer per unordered vertex pair, min * base + max: for any
     base above every vertex index the keys sort as the (min, max) pairs."""
@@ -290,9 +281,10 @@ class EdgeTable:
         return np.bincount(self.tri_edges.ravel(), minlength=len(self.edges))
 
     def locate(self, pairs):
-        """Edge number and the one triangle of each boundary edge, two
-        (nb,) int arrays.  Raises MeshError naming the first boundary
-        edge that lies in no triangle or in more than one."""
+        """Edge number, the one triangle and the local edge in it of each
+        boundary edge, three (nb,) int arrays.  Raises MeshError naming
+        the first boundary edge that lies in no triangle or in more than
+        one."""
         pairs = np.asarray(pairs, dtype=np.int64)
         base = max(self.edges.max(initial=0), pairs.max(initial=0)) + 1
         keys, want = _pair_keys(self.edges, base), _pair_keys(pairs, base)
@@ -301,9 +293,9 @@ class EdgeTable:
         _reject(hits != 1, lambda j: f"boundary edge {j} = {tuple(sorted(pairs[j].tolist()))} " + (
             f"is shared by {hits[j]} triangles" if hits[j] else "belongs to no triangle (dangling)"
         ))
-        triangle_of = np.empty(len(keys), dtype=np.int64)
-        triangle_of[self.tri_edges.ravel()] = np.arange(self.tri_edges.size) // 3
-        return found, triangle_of[found]
+        slot = np.empty(len(keys), dtype=np.int64)
+        slot[self.tri_edges.ravel()] = np.arange(self.tri_edges.size)
+        return (found, *np.divmod(slot[found], 3))
 
 
 def edge_table(triangles):

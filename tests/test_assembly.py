@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from steklov_certify.assembly import (
+    DofMaps,
     TRIANGLE_RULE,
     assemble_boundary,
     assemble_p1,
@@ -242,12 +243,19 @@ def test_trace_map_signs_follow_edge_orientation():
             assert np.array_equal(block, sign * np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def test_dof_maps_share_the_mesh_edge_orientation(system_lshape2):
-    """The min -> max orientation of the flux space is the mesh edge
-    table's own array, not a copy."""
+def test_dof_maps_hold_only_the_flux_numbering(system_lshape2):
+    """The edges, their min -> max orientation and the boundary edge
+    numbers have one owner, the mesh: DofMaps keeps the space sizes and
+    the flux dof numbering alone, and none of its arrays is a view of
+    an edge table array."""
     mesh = system_lshape2.mesh
-    assert system_lshape2.dofs.tri_edge_sign is mesh.edge_table.tri_edge_sign
-    assert assemble_system(mesh).dofs.tri_edge_sign is mesh.edge_table.tri_edge_sign
+    names = [f.name for f in dataclasses.fields(DofMaps)]
+    assert names == ["dim_p1", "dim_broken", "dim_trace", "dim_rt_interior",
+                     "rt_edge_dofs", "rt_tri_dofs"]
+    table = vars(mesh.edge_table).values()
+    for dofs in (system_lshape2.dofs, assemble_system(mesh).dofs):
+        for value in vars(dofs).values():
+            assert not any(np.may_share_memory(value, owned) for owned in table)
 
 
 def test_every_operator_matrix_is_sparse(system_lshape2):
@@ -311,13 +319,14 @@ def test_outward_normals():
 def test_dof_map_invariants(gen, n):
     mesh = gen(n)
     dofs = build_dof_maps(mesh)
-    assert dofs.dim_rt_interior + dofs.dim_rt_boundary == 2 * len(dofs.edges) + 2 * mesh.num_triangles
-    assert dofs.dim_rt_boundary == dofs.dim_trace == 2 * mesh.num_boundary_edges
+    n_edges = len(mesh.edge_table.edges)
+    assert dofs.dim_rt == 2 * n_edges + 2 * mesh.num_triangles
+    assert dofs.dim_trace == 2 * mesh.num_boundary_edges
     # every flux dof appears exactly once across the edge and triangle tables
     claimed = np.concatenate([dofs.rt_edge_dofs.ravel(), dofs.rt_tri_dofs.ravel()])
     assert np.array_equal(np.sort(claimed), np.arange(len(claimed)))
     # Euler check for a simply connected planar triangulation
-    assert len(dofs.edges) == (3 * mesh.num_triangles + mesh.num_boundary_edges) // 2
+    assert n_edges == (3 * mesh.num_triangles + mesh.num_boundary_edges) // 2
 
 
 @pytest.mark.parametrize("edge", [(0, 8), (1, 0)])
@@ -337,8 +346,9 @@ def test_boundary_edge_dofs_in_loop_order():
     mesh = uniform_square_mesh(2)
     dofs = build_dof_maps(mesh)
     p_int = dofs.dim_rt_interior
-    for j, e in enumerate(dofs.boundary_edge_index):
-        assert dofs.edge_is_boundary[e]
+    counts = mesh.edge_table.counts
+    for j, e in enumerate(mesh.boundary_edge_index):
+        assert counts[e] == 1
         assert tuple(dofs.rt_edge_dofs[e]) == (p_int + 2 * j, p_int + 2 * j + 1)
 
 
@@ -353,8 +363,8 @@ def _interpolate_flux(mesh, system, field):
     the same degree-4 rule the assembly uses (exact for affine fields).
     """
     dofs = system.dofs
-    x = np.zeros(dofs.dim_rt_interior + dofs.dim_rt_boundary)
-    for e, (lo, hi) in enumerate(dofs.edges):
+    x = np.zeros(dofs.dim_rt_interior + dofs.dim_trace)
+    for e, (lo, hi) in enumerate(mesh.edge_table.edges):
         d = mesh.vertices[hi] - mesh.vertices[lo]
         normal = np.array([d[1], -d[0]]) / np.linalg.norm(d)
         x[dofs.rt_edge_dofs[e, 0]] = field(mesh.vertices[lo]) @ normal
@@ -378,12 +388,9 @@ def _boundary_flux(mesh, system, x):
     p_int = system.dofs.dim_rt_interior
     xb = x[p_int:]
     lengths = mesh.boundary_edge_lengths()
-    dofs = system.dofs
     total = 0.0
     for j in range(mesh.num_boundary_edges):
         a, b = mesh.boundary_edges[j]
-        lo_first = a < b
-        e = dofs.boundary_edge_index[j]
         d = mesh.vertices[max(a, b)] - mesh.vertices[min(a, b)]
         normal = np.array([d[1], -d[0]]) / np.linalg.norm(d)
         outward = boundary_normals(mesh)[j]
@@ -465,7 +472,7 @@ _DOF_SIZES = ("dim_p1", "dim_broken", "dim_trace", "dim_rt_interior", "dim_rt_bo
 
 def system_arrays(system):
     """Every matrix of an AssembledSystem, the RT element data and the
-    DofMaps tables as plain arrays; sparse matrices as COO triplets.
+    dof and edge tables as plain arrays; sparse matrices as COO triplets.
     The interior and boundary blocks of rt_mass and div_coupling, which
     the snapshot records under their own names, are sliced here."""
     p_int = system.dofs.dim_rt_interior
@@ -487,9 +494,20 @@ def system_arrays(system):
     el = system.rt_elements
     for name in ("gdofs", "coeffs", "centroids", "scales"):
         out[f"rt_{name}"] = getattr(el, name)
+    # the snapshot files the mesh's edge tables under dofs_ and holds
+    # dim_trace in the slot it names dim_rt_boundary
+    mesh, dofs = system.mesh, system.dofs
+    owned = {
+        "edges": mesh.edge_table.edges,
+        "edge_is_boundary": mesh.edge_table.counts == 1,
+        "boundary_edge_index": mesh.boundary_edge_index,
+        "tri_edges": mesh.edge_table.tri_edges,
+    }
     for name in _DOF_TABLES:
-        out[f"dofs_{name}"] = getattr(system.dofs, name)
-    out["dofs_sizes"] = np.array([getattr(system.dofs, name) for name in _DOF_SIZES])
+        out[f"dofs_{name}"] = owned[name] if name in owned else getattr(dofs, name)
+    sizes = [dofs.dim_trace if name == "dim_rt_boundary" else getattr(dofs, name)
+             for name in _DOF_SIZES]
+    out["dofs_sizes"] = np.array(sizes)
     return out
 
 
@@ -511,7 +529,7 @@ def _as_matrix(arrays, name):
 def test_system_matches_snapshot(gen, n):
     """assemble_system reproduces the per-element loop assembly it
     replaced: every matrix and the RT element data to 1e-14 relative
-    (max-norm), every integer table of DofMaps exactly.  The snapshot in
+    (max-norm), every integer dof and edge table exactly.  The snapshot in
     tests/data was written by system_arrays from the loop version."""
     snapshot = np.load(_SYSTEM_SNAPSHOT)
     prefix = f"{gen.__name__}_{n}_"

@@ -42,7 +42,7 @@ def test_memory_child_reads_the_sizes_of_a_fresh_system(memory_record):
         "broken": dofs.dim_broken,
         "rt": dofs.dim_rt,
         "trace": dofs.dim_trace,
-        "cr": len(dofs.edges),
+        "cr": len(dofs.rt_edge_dofs),
     }
     held = {name: a.nnz for name, a in vars(system).items() if sp.issparse(a)}
     assert memory_record["system_nnz"] == held

@@ -22,7 +22,6 @@ from steklov_certify.bounds import (
 from steklov_certify.mesh import (
     Mesh,
     MeshError,
-    boundary_local_edges,
     element_geometry,
     uniform_lshape_mesh,
     uniform_square_mesh,
@@ -154,7 +153,7 @@ def test_corner_triangles_appear_once_per_edge():
     the bound is the largest of the four (triangle, edge) constants."""
     mesh = uniform_square_mesh(1)
     assert sorted(mesh.boundary_triangles.tolist()) == [0, 0, 1, 1]
-    pairs = list(zip(mesh.boundary_triangles.tolist(), boundary_local_edges(mesh).tolist()))
+    pairs = list(zip(mesh.boundary_triangles.tolist(), mesh.boundary_local.tolist()))
     assert len(set(pairs)) == 4
     values = [edge_trace_constant(element_geometry(mesh, t), l) for t, l in pairs]
     assert trace_constant_bound(mesh) == max(values)
@@ -163,7 +162,7 @@ def test_corner_triangles_appear_once_per_edge():
 def _loop_constants(mesh, first_cr_eigenvalue):
     """The three mesh constants by a loop over element_geometry."""
     trace = h_boundary = boundary_part = 0.0
-    for t, l in zip(mesh.boundary_triangles.tolist(), boundary_local_edges(mesh).tolist()):
+    for t, l in zip(mesh.boundary_triangles.tolist(), mesh.boundary_local.tolist()):
         geom = element_geometry(mesh, t)
         trace = max(trace, float(edge_trace_constant(geom, l)))
         h_boundary = max(h_boundary, geom.h_max)

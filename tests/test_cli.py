@@ -13,7 +13,7 @@ from steklov_certify import assembly, bounds, steklov
 from steklov_certify import mesh as mesh_module
 from steklov_certify.assembly import assemble_system
 from steklov_certify.cli import certify_level, main
-from steklov_certify.mesh import edge_table, read_mesh, uniform_square_mesh
+from steklov_certify.mesh import edge_table, read_mesh, uniform_lshape_mesh, uniform_square_mesh
 
 
 def _run(argv, capsys):
@@ -257,10 +257,13 @@ def test_bounds_json_format(capsys):
     assert doc["plot_data"]["conforming"]["dof"] == [25]
 
 
-def test_bounds_dump_matrices(tmp_path, capsys):
+@pytest.mark.parametrize("domain,n,gen", [("square", 2, uniform_square_mesh),
+                                          ("lshape", 4, uniform_lshape_mesh)],
+                         ids=["square2", "lshape4"])
+def test_bounds_dump_matrices(tmp_path, capsys, domain, n, gen):
     dump = tmp_path / "matrices"
     code, _, _ = _run(
-        ["bounds", "--domain", "square", "--n", "2", "--k", "1",
+        ["bounds", "--domain", domain, "--n", str(n), "--k", "1",
          "--dump-matrices", str(dump), "--out", str(tmp_path / "o.csv")],
         capsys,
     )
@@ -274,8 +277,9 @@ def test_bounds_dump_matrices(tmp_path, capsys):
     }
     # every file: a header with the matrix shape, then (row, col, value)
     # triplets sorted by (row, col) that rebuild the matrix exactly, since
-    # %.17g round-trips float64; broken_moments is one column
-    system = assemble_system(uniform_square_mesh(2))
+    # %.17g round-trips float64; broken_moments is one column.  The
+    # L-shape rows around the re-entrant corner pin the order there too
+    system = assemble_system(gen(n))
     for name in names:
         matrix = getattr(system, name[: -len(".txt")])
         expected = matrix[:, None] if matrix.ndim == 1 else matrix.toarray()
@@ -288,7 +292,7 @@ def test_bounds_dump_matrices(tmp_path, capsys):
         dense[rows_, cols_] = [float(t[2]) for t in triplets]
         assert np.array_equal(dense, expected), name
     # the dump is written beside the report and leaves it unchanged
-    _run(["bounds", "--domain", "square", "--n", "2", "--k", "1",
+    _run(["bounds", "--domain", domain, "--n", str(n), "--k", "1",
           "--out", str(tmp_path / "plain.csv")], capsys)
     assert (tmp_path / "o.csv").read_text() == (tmp_path / "plain.csv").read_text()
 
@@ -450,18 +454,19 @@ def test_certify_level_builds_no_edge_table_after_the_mesh(monkeypatch):
 
 
 def test_certify_level_locates_no_boundary_edge_after_the_mesh(monkeypatch):
-    """The mesh keeps the local edge of each boundary edge that its
-    constructor checks, and the dof maps, the boundary forms and the
-    trace constants read it: a level certified with both methods looks
-    no boundary edge up again."""
+    """The mesh keeps the edge number, triangle and local edge of each
+    boundary edge that its constructor's one EdgeTable.locate finds, and
+    the dof maps, the boundary forms, the flux solver and the trace
+    constants read them: a level certified with both methods looks no
+    boundary edge up again."""
     mesh = uniform_square_mesh(8)
     calls = []
+    locate = mesh_module.EdgeTable.locate
 
-    def counting(mesh, _f=mesh_module.boundary_local_edges):
-        calls.append(mesh.num_boundary_edges)
-        return _f(mesh)
+    def counting(table, pairs):
+        calls.append(len(pairs))
+        return locate(table, pairs)
 
-    for module in (mesh_module, assembly, bounds):
-        monkeypatch.setattr(module, "boundary_local_edges", counting, raising=False)
+    monkeypatch.setattr(mesh_module.EdgeTable, "locate", counting)
     certify_level(mesh, 3, ("conforming", "cr"), None, n=8)
     assert calls == []

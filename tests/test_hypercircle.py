@@ -385,6 +385,22 @@ def test_pinned_edge_system_residual_near_roundoff():
     assert residual.max() < 1e-12
 
 
+def test_one_triangle_constant_names_the_missing_pin(rng):
+    """One triangle is the one valid mesh with no interior edge: the pin
+    falls on a boundary edge, so constant() refuses the mesh by name
+    (its Schur block used to fail the kappa cross-check), while the
+    single-datum flux audit still works there."""
+    mesh = Mesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)], [(0, 1), (1, 2), (2, 0)])
+    solver = EquilibrationSolver(assemble_system(mesh))
+    with pytest.raises(LinearAlgebraError, match="^projection constant: the mesh has no interior edge to pin$"):
+        solver.constant()
+    g = rng.standard_normal(solver.system.dofs.dim_trace)
+    neumann = solver.solve_neumann(g)
+    flux = solver.solve_flux(g, neumann)
+    assert 0.0 < solver.error_norm(neumann, flux) < np.inf
+    assert solver.divergence_gap(neumann, flux) <= 1e-12
+
+
 def test_constant_memory_peak_square32():
     """constant() keeps no (rows x s) array alive: its traced peak at
     square n = 32 stays below 64 MB (the KKT route needed 129 MB)."""

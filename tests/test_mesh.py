@@ -10,7 +10,6 @@ import pytest
 from steklov_certify.mesh import (
     Mesh,
     MeshError,
-    boundary_local_edges,
     edge_table,
     element_geometry,
     read_mesh,
@@ -233,6 +232,7 @@ _KEPT_TABLES = {
     "triangle_areas": lambda mesh: mesh.triangle_areas(),
     "edge_lengths_per_triangle": lambda mesh: mesh.edge_lengths_per_triangle(),
     "boundary_local": lambda mesh: mesh.boundary_local,
+    "boundary_edge_index": lambda mesh: mesh.boundary_edge_index,
     "tri_edge_sign": lambda mesh: mesh.edge_table.tri_edge_sign,
 }
 
@@ -240,8 +240,8 @@ _KEPT_TABLES = {
 @pytest.mark.parametrize("table", list(_KEPT_TABLES))
 def test_mesh_computes_its_tables_once(table):
     """The signed areas, the per-triangle edge lengths, the local edge
-    of each boundary edge and the edge orientations are computed once
-    per mesh and handed out read-only."""
+    and the edge number of each boundary edge and the edge orientations
+    are computed once per mesh and handed out read-only."""
     mesh = uniform_lshape_mesh(3)
     first = _KEPT_TABLES[table](mesh)
     assert _KEPT_TABLES[table](mesh) is first
@@ -438,8 +438,9 @@ def test_edge_table_matches_sorted_pairs_under_relabelling(gen, rng):
         table = edge_table(tris)
         assert np.array_equal(table.edges, edges)
         assert np.array_equal(table.tri_edges, inverse.reshape(tris.shape))
-        found, owners = table.locate(labels[mesh.boundary_edges])
+        found, owners, local = table.locate(labels[mesh.boundary_edges])
         assert np.array_equal(owners, mesh.boundary_triangles)
+        assert np.array_equal(local, mesh.boundary_local)
         assert np.array_equal(table.edges[found], np.sort(labels[mesh.boundary_edges], axis=1))
 
 
@@ -481,20 +482,27 @@ def test_mesh_equality_and_hash_are_identity():
 
 
 def test_boundary_local_edges_finds_each_edge_in_its_triangle():
+    """Boundary edge j = (a, b) is local edge boundary_local[j] of its
+    triangle, run from a to b, and edge boundary_edge_index[j] of the
+    edge table."""
     for mesh in (uniform_square_mesh(3), uniform_lshape_mesh(2)):
-        local = boundary_local_edges(mesh)
-        assert np.array_equal(mesh.boundary_local, local)
+        local = mesh.boundary_local
         owner = mesh.triangles[mesh.boundary_triangles]
         rows = np.arange(mesh.num_boundary_edges)
         assert np.array_equal(owner[rows, local], mesh.boundary_edges[:, 0])
         assert np.array_equal(owner[rows, (local + 1) % 3], mesh.boundary_edges[:, 1])
+        table = mesh.edge_table
+        assert np.array_equal(table.tri_edges[mesh.boundary_triangles, local],
+                              mesh.boundary_edge_index)
+        assert np.array_equal(table.edges[mesh.boundary_edge_index],
+                              np.sort(mesh.boundary_edges, axis=1))
 
 
 @pytest.mark.parametrize("edge", [(0, 8), (1, 0)])
 def test_boundary_local_edges_rejects_foreign_and_reversed_edges(edge):
     """(0, 8) is no edge of the square n = 2 mesh; (1, 0) is its first
     boundary edge run clockwise.  Both fail when the mesh is built, so
-    boundary_local_edges never looks either up."""
+    no reader of the boundary tables meets either."""
     mesh = uniform_square_mesh(2)
     edges = mesh.boundary_edges.copy()
     edges[0] = edge

@@ -173,11 +173,11 @@ def test_normal_trace_continuous_across_shared_edge(rng):
     agrees from both sides of an interior edge (H(div) conformity)."""
     mesh = uniform_square_mesh(1)
     system = assemble_system(mesh)
-    dofs = system.dofs
-    interior = np.flatnonzero(~dofs.edge_is_boundary)
+    table = mesh.edge_table
+    interior = np.flatnonzero(table.counts == 2)
     assert len(interior) >= 1
     e = interior[0]
-    lo, hi = dofs.edges[e]
+    lo, hi = table.edges[e]
     pa, pb = mesh.vertices[lo], mesh.vertices[hi]
     d = pb - pa
     normal = np.array([d[1], -d[0]]) / np.linalg.norm(d)
@@ -202,7 +202,7 @@ def test_normal_trace_linear_along_edges(rng):
     system = assemble_system(mesh)
     dofs = system.dofs
     x = rng.standard_normal(system.rt_mass.shape[0])
-    for e, (lo, hi) in enumerate(dofs.edges):
+    for e, (lo, hi) in enumerate(mesh.edge_table.edges):
         pa, pb = mesh.vertices[lo], mesh.vertices[hi]
         d = pb - pa
         normal = np.array([d[1], -d[0]]) / np.linalg.norm(d)
